@@ -8,7 +8,8 @@ verification, 1 when a proposition verification fails, 2 on usage, parse or
 validation errors.
 
 The default policy-enumeration cap is 10**6 and can be overridden with the
-SHORTSIGHT_POLICY_CAP environment variable or the --cap flag.
+--cap flag or, when the flag is absent, the SHORTSIGHT_POLICY_CAP
+environment variable. Either must be an integer >= 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .counterexamples import CounterexampleSpec, build_counterexample, verify_proposition
-from .errors import DocumentError, ShortsightError
+from .errors import InvalidParam, ShortsightError
 from .evaluate import full_return, truncated_return
 from .observation import segment_distribution
 from .offline import sample_dataset
@@ -34,23 +35,24 @@ from .serialize import (
     serialize_model,
     sha256_hex,
 )
-from .sufficiency import check_objective_consistency, check_sufficiency
+from .sufficiency import DEFAULT_CAP, check_objective_consistency, check_sufficiency, require_cap
 
 CAP_ENV = "SHORTSIGHT_POLICY_CAP"
-DEFAULT_CAP = 10**6
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(CAP_ENV)
+def _resolve_cap(flag: str | None) -> int:
+    """The --cap flag if given, else CAP_ENV if set, else DEFAULT_CAP.
+
+    Both sources pass the same checks, and errors name the source.
+    """
+    source, raw = ("--cap", flag) if flag is not None else (CAP_ENV, os.environ.get(CAP_ENV))
     if raw is None:
         return DEFAULT_CAP
     try:
         cap = int(raw)
     except ValueError:
-        raise ShortsightError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ShortsightError(f"{CAP_ENV} must be >= 1, got {cap}")
-    return cap
+        raise InvalidParam(f"{source} must be an integer, got {raw!r}") from None
+    return require_cap(cap, source)
 
 
 def _read(path: str) -> tuple[str, dict]:
@@ -254,7 +256,7 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _build_parser(default_cap: int) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shortsight",
         description="Exact diagnostics for learning from fixed-length trajectory windows in tabular MDPs.",
@@ -284,21 +286,21 @@ def _build_parser(default_cap: int) -> argparse.ArgumentParser:
     p.add_argument("--mdp", required=True)
     p.add_argument("--obs", required=True)
     p.add_argument("--nonstationary", action="store_true")
-    p.add_argument("--cap", type=int, default=default_cap)
+    p.add_argument("--cap")
     p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("ordering", help="compare truncated-return and full-return policy orderings")
     p.add_argument("--mdp", required=True)
     p.add_argument("--h", type=int, required=True, help="inclusive last reward index of the truncated objective")
     p.add_argument("--nonstationary", action="store_true")
-    p.add_argument("--cap", type=int, default=default_cap)
+    p.add_argument("--cap")
     p.set_defaults(run=_cmd_ordering)
 
     p = sub.add_parser("verify", help="verify one counterexample proposition end to end")
     p.add_argument("--prop", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--H", type=int, required=True)
     p.add_argument("--M", type=_rational_arg, default=None)
-    p.add_argument("--cap", type=int, default=default_cap)
+    p.add_argument("--cap")
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("sample", help="sample an offline dataset under a behavior policy")
@@ -312,25 +314,16 @@ def _build_parser(default_cap: int) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        default_cap = _default_cap()
-    except ShortsightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser(default_cap)
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if "cap" in vars(args):
+            args.cap = _resolve_cap(args.cap)
         return args.run(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShortsightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ShortsightError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from .observation import (
     identity_phi,
     segment_distribution,
 )
-from .sufficiency import DEFAULT_CAP, check_objective_consistency, check_sufficiency
+from .sufficiency import DEFAULT_CAP, check_objective_consistency, check_sufficiency, require_cap
 
 FAMILIES = ("prefix", "greedy", "aliasing")
 
@@ -263,6 +263,7 @@ def verify_proposition(
     cap: int = DEFAULT_CAP,
 ) -> PropositionReport:
     """Re-derive one proposition's exact claims and report each check."""
+    require_cap(cap)
     if proposition == 1:
         return _verify_prefix(window_length, cap)
     if proposition == 2:

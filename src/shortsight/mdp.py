@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceeded
 
@@ -385,6 +385,51 @@ def validate_policy(mdp: TabularMDP, policy: Policy) -> list[str]:
     return problems
 
 
+# A cell of the deterministic class: (t, state). Stationary policies have one
+# cell per non-terminal state, at t = 0, shared by every timestep (the row a
+# stationary Policy shares); nonstationary policies have one per (t, state).
+PolicyCell = tuple[int, int]
+
+
+def policy_cells(mdp: TabularMDP, stationary: bool = True) -> tuple[PolicyCell, ...]:
+    """The cells a deterministic policy assigns, most significant first.
+
+    This is the one definition of policy order: policy index i in the class
+    is the mixed-radix number whose digits are the action ids at these cells,
+    the last cell varying fastest (stationary: states in id order;
+    nonstationary: (t, state) with t outermost).
+    """
+    nonterm = mdp.nonterminal()
+    steps = range(1) if stationary else range(mdp.horizon)
+    return tuple((t, s) for t in steps for s in nonterm)
+
+
+def _policy_from_digits(
+    mdp: TabularMDP, cells: Sequence[PolicyCell], digits: Sequence[int], stationary: bool
+) -> Policy:
+    if stationary:
+        row = {s: ((a, ONE),) for (_, s), a in zip(cells, digits)}
+        return Policy("deterministic", mdp.horizon, (row,) * mdp.horizon, True)
+    rows: list[dict[int, Cell]] = [{} for _ in range(mdp.horizon)]
+    for (t, s), a in zip(cells, digits):
+        rows[t][s] = ((a, ONE),)
+    return Policy("deterministic", mdp.horizon, tuple(rows), False)
+
+
+def policy_at_index(mdp: TabularMDP, index: int, stationary: bool = True) -> Policy:
+    """The deterministic policy with the given index in `policy_cells` order."""
+    cells = policy_cells(mdp, stationary)
+    radices = [len(mdp.actions[s]) for _, s in cells]
+    total = prod(radices)
+    if not (0 <= index < total):
+        raise IndexError(f"policy index {index} out of range for a class of {total}")
+    digits = []
+    for k in reversed(radices):
+        index, a = divmod(index, k)
+        digits.append(a)
+    return _policy_from_digits(mdp, cells, digits[::-1], stationary)
+
+
 def enumerate_deterministic_policies(
     mdp: TabularMDP,
     stationary: bool = True,
@@ -392,37 +437,97 @@ def enumerate_deterministic_policies(
 ) -> Iterator[Policy]:
     """Yield every deterministic policy over the MDP's non-terminal states.
 
-    Order is lexicographic in action ids over cells (stationary: states in
-    id order; nonstationary: (t, state) with t outermost), so enumeration is
-    reproducible. After `cap` policies, raises CapExceeded carrying the full
-    class size; downstream verdicts must then be scoped to the subset seen.
+    Order is lexicographic in action ids over `policy_cells`, so enumeration
+    is reproducible and the n-th policy yielded is `policy_at_index(n)`.
+    After `cap` policies, raises CapExceeded carrying the full class size;
+    downstream verdicts must then be scoped to the subset seen.
     """
-    nonterm = mdp.nonterminal()
-    sizes = [len(mdp.actions[s]) for s in nonterm]
-    per_step = prod(sizes)
-    total = per_step if stationary else per_step ** mdp.horizon
-    count = 0
-    if stationary:
-        for combo in itertools.product(*(range(k) for k in sizes)):
-            if count >= cap:
-                raise CapExceeded(total, cap)
-            row = {s: ((a, ONE),) for s, a in zip(nonterm, combo)}
-            yield Policy("deterministic", mdp.horizon, (row,) * mdp.horizon, True)
-            count += 1
-    else:
-        cells = [(t, s) for t in range(mdp.horizon) for s in nonterm]
-        cell_sizes = [len(mdp.actions[s]) for _, s in cells]
-        for combo in itertools.product(*(range(k) for k in cell_sizes)):
-            if count >= cap:
-                raise CapExceeded(total, cap)
-            rows = [dict() for _ in range(mdp.horizon)]
-            for (t, s), a in zip(cells, combo):
-                rows[t][s] = ((a, ONE),)
-            yield Policy("deterministic", mdp.horizon, tuple(rows), False)
-            count += 1
+    cells = policy_cells(mdp, stationary)
+    radices = [len(mdp.actions[s]) for _, s in cells]
+    total = prod(radices)
+    for count, digits in enumerate(itertools.product(*(range(k) for k in radices))):
+        if count >= cap:
+            raise CapExceeded(total, cap)
+        yield _policy_from_digits(mdp, cells, digits, stationary)
+
+
+class Behaviour(NamedTuple):
+    """The deterministic policies that agree on every cell the process reaches.
+
+    Members have the same occupancy, step rewards and segment distributions,
+    so evaluating `policy`, the member with the smallest index `first`, once
+    stands for all of them. The others add, at each free (never reached)
+    cell, an action id times the cell's place value: `free` holds (number of
+    actions, place value) per free cell with a choice, most significant first.
+    """
+
+    first: int
+    free: tuple[tuple[int, int], ...]
+    policy: Policy
+
+    def members(self, below: int) -> Iterator[int]:
+        """Member indices less than `below`, ascending."""
+        # Free cells stay in significance order, so lexicographic digit
+        # combinations come out as ascending indices.
+        for combo in itertools.product(*(range(k) for k, _ in self.free)):
+            index = self.first + sum(a * w for a, (_, w) in zip(combo, self.free))
+            if index >= below:
+                return
+            yield index
+
+
+def enumerate_behaviours(
+    mdp: TabularMDP, stationary: bool = True, cap: int | None = None
+) -> Iterator[Behaviour]:
+    """Yield each behaviour of the deterministic class once.
+
+    A depth-first search runs forward in time over the support of the state
+    distribution and branches only at reached cells still undecided: per
+    state for the stationary class, per (t, state) for the nonstationary
+    one. The behaviours partition the class, with member indices in
+    `policy_cells` order, as `enumerate_deterministic_policies` numbers it.
+    With a `cap`, only behaviours whose first member is below it are
+    walked, so at most `cap` behaviours are built.
+    """
+    cells = policy_cells(mdp, stationary)
+    radices = [len(mdp.actions[s]) for _, s in cells]
+    places = [prod(radices[k + 1 :]) for k in range(len(cells))]
+    position = {cell: k for k, cell in enumerate(cells)}
+    succ = [[{s2 for s2, p, _ in outs if p != 0} for outs in row] for row in mdp.transitions]
+    digits: list[int | None] = [None] * len(cells)
+
+    def walk(t: int, support: list[int], first: int) -> Iterator[Behaviour]:
+        if t == mdp.horizon:
+            free = tuple(
+                (radices[k], places[k])
+                for k in range(len(cells))
+                if digits[k] is None and radices[k] > 1
+            )
+            policy = _policy_from_digits(mdp, cells, [d or 0 for d in digits], stationary)
+            yield Behaviour(first, free, policy)
+            return
+        # Terminal states have no cell; their forced action is 0.
+        here = [(s, position.get((0 if stationary else t, s))) for s in support]
+        pending = [k for _, k in here if k is not None and digits[k] is None]
+        # `pending` is in significance order, so the combinations come out
+        # with ascending first members and the first one past the cap ends
+        # the loop: digits decided later only add to `first`.
+        for combo in itertools.product(*(range(radices[k]) for k in pending)):
+            lower = first + sum(a * places[k] for k, a in zip(pending, combo))
+            if cap is not None and lower >= cap:
+                break
+            for k, a in zip(pending, combo):
+                digits[k] = a
+            nxt: set[int] = set()
+            for s, k in here:
+                nxt |= succ[s][0 if k is None else digits[k]]
+            yield from walk(t + 1, sorted(nxt), lower)
+        for k in pending:
+            digits[k] = None
+
+    yield from walk(0, [s for s, p in enumerate(mdp.initial) if p != 0], 0)
 
 
 def policy_class_size(mdp: TabularMDP, stationary: bool = True) -> int:
     """Closed-form size of the deterministic policy class enumerated above."""
-    per_step = prod(len(mdp.actions[s]) for s in mdp.nonterminal())
-    return per_step if stationary else per_step ** mdp.horizon
+    return prod(len(mdp.actions[s]) for _, s in policy_cells(mdp, stationary))

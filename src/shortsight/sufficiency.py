@@ -6,6 +6,10 @@ window start while earning different full-horizon returns. When that fails,
 the checker returns the lexicographically first violating pair as a witness.
 The consistency report compares the policy ordering under a truncated return
 against the full-horizon ordering.
+
+Both checkers evaluate behaviours, not policies: policies that agree on every
+(t, state) cell the process reaches are evaluated once, and every reported
+index, count and witness is still over policies in lexicographic order.
 """
 
 from __future__ import annotations
@@ -13,9 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded
+from .errors import InvalidParam
 from .evaluate import step_rewards
-from .mdp import Policy, TabularMDP, enumerate_deterministic_policies
+from .mdp import (
+    Behaviour,
+    Policy,
+    TabularMDP,
+    enumerate_behaviours,
+    policy_at_index,
+    policy_class_size,
+)
 from .observation import ObservationModel, _require_model, segment_distribution
 
 DEFAULT_CAP = 10**6
@@ -76,21 +87,17 @@ class OrderingReport:
     policy_class: PolicyClass
 
 
-def _enumerate(mdp: TabularMDP, stationary: bool, cap: int):
-    policies: list[Policy] = []
-    truncated = False
-    total = None
-    gen = enumerate_deterministic_policies(mdp, stationary=stationary, cap=cap)
-    try:
-        for policy in gen:
-            policies.append(policy)
-    except CapExceeded as exc:
-        truncated = True
-        total = exc.total
-    if total is None:
-        total = len(policies)
+def require_cap(cap: int, name: str = "cap") -> int:
+    """The one rule for a policy cap: a positive integer. `name` locates the value."""
+    if cap < 1:
+        raise InvalidParam(f"{name} must be >= 1, got {cap}")
+    return cap
+
+
+def _policy_class(mdp: TabularMDP, stationary: bool, cap: int) -> PolicyClass:
+    total = policy_class_size(mdp, stationary)
     kind = "deterministic-stationary" if stationary else "deterministic-nonstationary"
-    return policies, PolicyClass(kind, len(policies), total, truncated)
+    return PolicyClass(kind, min(total, cap), total, total > cap)
 
 
 def check_sufficiency(
@@ -101,41 +108,42 @@ def check_sufficiency(
 ) -> SufficiencyVerdict:
     """Decide whether segment statistics pin down full-horizon returns.
 
-    Enumerated policies are bucketed by their exact SegmentDistribution
-    (canonical form, so dict hashing is confirmed by full equality); the
-    interface is sufficient iff every bucket carries a single return value.
-    Otherwise the witness is the first violating pair (i, j) in enumeration
-    order.
+    The class is the first `cap` deterministic policies in lexicographic
+    order. Policies that agree on every cell the process reaches share one
+    behaviour, and each reached behaviour is evaluated once, through its
+    smallest-index member. Behaviours are bucketed by their exact
+    SegmentDistribution (canonical form, so dict hashing is confirmed by
+    full equality); the interface is sufficient iff every bucket carries a
+    single return value. Otherwise the witness is, as over the policies
+    themselves, the first violating pair (i, j) in enumeration order: i the
+    smallest index in its bucket, j the smallest index there whose return
+    differs.
     """
     _require_model(mdp, model)
-    policies, pclass = _enumerate(mdp, stationary, cap)
-    returns: list[Fraction] = []
-    buckets: dict[tuple, list[int]] = {}
-    for i, policy in enumerate(policies):
+    require_cap(cap)
+    pclass = _policy_class(mdp, stationary, cap)
+    buckets: dict[tuple, list[tuple[int, Fraction]]] = {}
+    for behaviour in enumerate_behaviours(mdp, stationary, cap):
+        i, _, policy = behaviour
         dist = segment_distribution(mdp, policy, model, label=f"policy[{i}]")
-        rewards = step_rewards(mdp, policy)
-        returns.append(sum(rewards, Fraction(0)))
-        buckets.setdefault(dist.per_start, []).append(i)
+        ret = sum(step_rewards(mdp, policy), Fraction(0))
+        buckets.setdefault(dist.per_start, []).append((i, ret))
 
-    best: tuple[int, int] | None = None
+    best = None
     for members in buckets.values():
-        if len(members) < 2:
-            continue
-        found = None
-        for pos, i in enumerate(members):
-            for j in members[pos + 1 :]:
-                if returns[i] != returns[j]:
-                    found = (i, j)
-                    break
-            if found:
+        (i, ret_i), *rest = sorted(members)
+        for j, ret_j in rest:
+            if ret_j != ret_i:
+                if best is None or (i, j) < best[:2]:
+                    best = (i, j, ret_i, ret_j)
                 break
-        if found is not None and (best is None or found < best):
-            best = found
 
     if best is None:
         return SufficiencyVerdict(True, None, pclass)
-    i, j = best
-    witness = Witness(i, j, policies[i], policies[j], returns[i], returns[j])
+    i, j, ret_i, ret_j = best
+    witness = Witness(
+        i, j, policy_at_index(mdp, i, stationary), policy_at_index(mdp, j, stationary), ret_i, ret_j
+    )
     return SufficiencyVerdict(False, witness, pclass)
 
 
@@ -147,39 +155,50 @@ def check_objective_consistency(
 ) -> OrderingReport:
     """Compare truncated-return and full-return orderings over the class.
 
-    Both objectives are derived from one forward pass per policy. The
-    orderings agree iff for every pair the comparison signs coincide, which
-    is checked by grouping on truncated values.
+    The class is the first `cap` deterministic policies in lexicographic
+    order. Each reached behaviour is evaluated once, and both objectives
+    come from its one forward pass; every member shares them. Argmax sets
+    list policy indices, ascending. The orderings agree iff for every pair
+    the comparison signs coincide, which is checked by grouping on
+    truncated values.
     """
     if last_step < 0:
         raise ValueError(f"last_step must be >= 0, got {last_step}")
-    policies, pclass = _enumerate(mdp, stationary, cap)
+    require_cap(cap)
+    pclass = _policy_class(mdp, stationary, cap)
     keep = min(last_step + 1, mdp.horizon)
-    trunc: list[Fraction] = []
-    full: list[Fraction] = []
-    for policy in policies:
-        rewards = step_rewards(mdp, policy)
-        trunc.append(sum(rewards[:keep], Fraction(0)))
-        full.append(sum(rewards, Fraction(0)))
+    evaluated: list[tuple[Fraction, Fraction, Behaviour]] = []
+    for behaviour in enumerate_behaviours(mdp, stationary, cap):
+        rewards = step_rewards(mdp, behaviour.policy)
+        evaluated.append((sum(rewards[:keep], Fraction(0)), sum(rewards, Fraction(0)), behaviour))
 
-    best_t = max(trunc)
-    best_f = max(full)
-    t_argmax = tuple(i for i, v in enumerate(trunc) if v == best_t)
-    f_argmax = tuple(i for i, v in enumerate(full) if v == best_f)
-    intersects = bool(set(t_argmax) & set(f_argmax))
+    best_t = max(trunc for trunc, _, _ in evaluated)
+    best_f = max(full for _, full, _ in evaluated)
+    t_argmax = tuple(sorted(
+        i for trunc, _, b in evaluated if trunc == best_t for i in b.members(cap)
+    ))
+    f_argmax = tuple(sorted(
+        i for _, full, b in evaluated if full == best_f for i in b.members(cap)
+    ))
+    intersects = any(trunc == best_t and full == best_f for trunc, full, _ in evaluated)
 
-    order = sorted(range(len(policies)), key=lambda i: trunc[i])
+    # Members of one behaviour share both values, so scanning behaviours
+    # decides agreement exactly as scanning their policies would.
+    order = sorted(evaluated, key=lambda e: e[0])
     agrees = True
     prev_t = prev_f = None
-    for i in order:
+    for trunc, full, _ in order:
         if prev_t is not None:
-            if trunc[i] == prev_t and full[i] != prev_f:
+            if trunc == prev_t and full != prev_f:
                 agrees = False
                 break
-            if trunc[i] > prev_t and full[i] <= prev_f:
+            if trunc > prev_t and full <= prev_f:
                 agrees = False
                 break
-        prev_t, prev_f = trunc[i], full[i]
+        prev_t, prev_f = trunc, full
+
+    def describe(indices):
+        return tuple(policy_at_index(mdp, i, stationary).describe(mdp) for i in indices)
 
     return OrderingReport(
         last_step=last_step,
@@ -189,7 +208,7 @@ def check_objective_consistency(
         best_full=best_f,
         argmax_intersects=intersects,
         ordering_agrees=agrees,
-        truncated_argmax_descriptions=tuple(policies[i].describe(mdp) for i in t_argmax),
-        full_argmax_descriptions=tuple(policies[i].describe(mdp) for i in f_argmax),
+        truncated_argmax_descriptions=describe(t_argmax),
+        full_argmax_descriptions=describe(f_argmax),
         policy_class=pclass,
     )

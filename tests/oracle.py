@@ -104,6 +104,18 @@ def all_stationary_policies(mdp):
         yield Policy("deterministic", mdp.horizon, (row,) * mdp.horizon, True)
 
 
+def all_nonstationary_policies(mdp):
+    """Independent lexicographic enumeration of deterministic nonstationary
+    policies: one cell per (t, state), t outermost, last cell fastest."""
+    nonterm = [s for s in range(mdp.n_states) if s not in mdp.terminal]
+    cells = [(t, s) for t in range(mdp.horizon) for s in nonterm]
+    for combo in product(*(range(len(mdp.actions[s])) for _, s in cells)):
+        rows = [{} for _ in range(mdp.horizon)]
+        for (t, s), a in zip(cells, combo):
+            rows[t][s] = ((a, ONE),)
+        yield Policy("deterministic", mdp.horizon, tuple(rows), False)
+
+
 def _bucket_key(tables):
     return tuple(sorted((t0, tuple(sorted(tbl.items()))) for t0, tbl in tables.items()))
 
@@ -119,3 +131,43 @@ def oracle_sufficient(mdp, model, policies):
 
 def oracle_pair_indistinguishable(mdp, model, pol_a, pol_b):
     return oracle_segments(mdp, pol_a, model) == oracle_segments(mdp, pol_b, model)
+
+
+def oracle_witness(mdp, model, policies):
+    """Per-policy reference for the sufficiency witness.
+
+    Returns (i, j, return_i, return_j) for the lexicographically first pair
+    i < j with equal segment statistics and different full returns, or None
+    when every bucket carries a single return.
+    """
+    keys = [_bucket_key(oracle_segments(mdp, pol, model)) for pol in policies]
+    rets = [oracle_full_return(mdp, pol) for pol in policies]
+    for i in range(len(policies)):
+        for j in range(i + 1, len(policies)):
+            if rets[i] != rets[j] and keys[i] == keys[j]:
+                return i, j, rets[i], rets[j]
+    return None
+
+
+def oracle_ordering(mdp, policies, last_step):
+    """Per-policy reference for the ordering report.
+
+    Returns (truncated argmax, full argmax, best truncated, best full,
+    orderings agree), agreement taken over all pairs.
+    """
+    trunc = [oracle_truncated_return(mdp, pol, last_step) for pol in policies]
+    full = [oracle_full_return(mdp, pol) for pol in policies]
+    best_t, best_f = max(trunc), max(full)
+    agrees = all(
+        (trunc[i] > trunc[j]) == (full[i] > full[j])
+        and (trunc[i] == trunc[j]) == (full[i] == full[j])
+        for i in range(len(policies))
+        for j in range(i + 1, len(policies))
+    )
+    return (
+        tuple(i for i, v in enumerate(trunc) if v == best_t),
+        tuple(i for i, v in enumerate(full) if v == best_f),
+        best_t,
+        best_f,
+        agrees,
+    )

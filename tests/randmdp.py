@@ -59,3 +59,20 @@ def random_model(rng: random.Random, mdp):
         observe_actions=rng.random() < 0.5,
         observe_rewards=rng.random() < 0.5,
     )
+
+
+def dense_mdp(n_states=7, horizon=6):
+    """Two actions everywhere, each moving uniformly to every state.
+
+    Every (t, state) cell is reached, so each deterministic policy is its own
+    behaviour: the nonstationary class has 2 ** (n_states * horizon) of them.
+    """
+    states = [f"x{i}" for i in range(n_states)]
+    p = Fraction(1, n_states)
+    actions = {s: ["a0", "a1"] for s in states}
+    transitions = {
+        (s, a): [(s2, p, r) for s2 in states]
+        for s in states
+        for r, a in enumerate(actions[s])
+    }
+    return build_mdp(states, actions, transitions, horizon, {s: p for s in states})

@@ -188,6 +188,37 @@ def test_cap_env_var_scopes_check(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "check", "--mdp", mdp_path, "--obs", obs_path)[0] == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", ["check", "ordering", "verify"])
+def test_cap_below_one_is_a_usage_error(prefix_files, capsys, command, cap):
+    # Once accepted: check reported "sufficient" over 0 policies, ordering
+    # crashed on an empty max().
+    mdp_path, obs_path = prefix_files
+    argv = {
+        "check": ["check", "--mdp", mdp_path, "--obs", obs_path],
+        "ordering": ["ordering", "--mdp", mdp_path, "--h", "1"],
+        "verify": ["verify", "--prop", "1", "--H", "2"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert f"--cap must be >= 1, got {cap}" in err
+
+
+def test_cap_errors_name_their_source(prefix_files, capsys, monkeypatch):
+    mdp_path, obs_path = prefix_files
+    check = ["check", "--mdp", mdp_path, "--obs", obs_path]
+    code, _, err = run_cli(capsys, *check, "--cap", "many")
+    assert code == 2 and "--cap must be an integer, got 'many'" in err
+    monkeypatch.setenv("SHORTSIGHT_POLICY_CAP", "0")
+    code, _, err = run_cli(capsys, *check)
+    assert code == 2 and "SHORTSIGHT_POLICY_CAP must be >= 1, got 0" in err
+    # the flag takes precedence over the environment
+    code, out, _ = run_cli(capsys, *check, "--cap", "1")
+    assert code == 0
+    assert json.loads(out)["policy_class"]["enumerated"] == 1
+
+
 def test_reports_are_deterministic(capsys):
     first = run_cli(capsys, "verify", "--prop", "3", "--H", "3")
     second = run_cli(capsys, "verify", "--prop", "3", "--H", "3")

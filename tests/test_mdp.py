@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 import shortsight as ss
+import shortsight.mdp
 from shortsight.errors import CapExceeded
+from shortsight.mdp import enumerate_behaviours, policy_at_index
 
-from randmdp import random_mdp
+from randmdp import dense_mdp, random_mdp
 
 
 def two_action_chain():
@@ -133,6 +135,72 @@ def test_enumeration_is_reproducible():
     a = list(ss.enumerate_deterministic_policies(mdp, stationary=True))
     b = list(ss.enumerate_deterministic_policies(mdp, stationary=True))
     assert a == b
+
+
+@pytest.mark.parametrize("stationary", [True, False])
+def test_policy_at_index_follows_enumeration_order(stationary):
+    rng = random.Random(8)
+    for _ in range(10):
+        mdp = random_mdp(rng, max_states=4, max_horizon=2)
+        policies = list(ss.enumerate_deterministic_policies(mdp, stationary=stationary))
+        assert [policy_at_index(mdp, i, stationary) for i in range(len(policies))] == policies
+        with pytest.raises(IndexError):
+            policy_at_index(mdp, len(policies), stationary)
+
+
+@pytest.mark.parametrize("stationary", [True, False])
+def test_behaviours_partition_the_class(stationary):
+    # Every policy belongs to exactly one behaviour, and all members of a
+    # behaviour move through the MDP identically.
+    rng = random.Random(13)
+    for _ in range(15):
+        mdp = random_mdp(rng, max_states=4, max_horizon=3)
+        total = ss.policy_class_size(mdp, stationary)
+        if total > 512:
+            continue
+        policies = list(ss.enumerate_deterministic_policies(mdp, stationary=stationary))
+        seen = []
+        for behaviour in enumerate_behaviours(mdp, stationary):
+            members = list(behaviour.members(total))
+            assert members[0] == behaviour.first
+            assert behaviour.policy == policies[behaviour.first]
+            assert list(behaviour.members(members[-1])) == members[:-1]
+            table = ss.occupancy(mdp, policies[behaviour.first])
+            assert all(ss.occupancy(mdp, policies[i]) == table for i in members)
+            seen.extend(members)
+        assert sorted(seen) == list(range(total))
+
+
+@pytest.mark.parametrize("stationary", [True, False])
+def test_capped_behaviours_are_those_first_below_the_cap(stationary):
+    rng = random.Random(21)
+    for _ in range(15):
+        mdp = random_mdp(rng, max_states=4, max_horizon=3)
+        total = ss.policy_class_size(mdp, stationary)
+        if total > 512:
+            continue
+        every = list(enumerate_behaviours(mdp, stationary))
+        for cap in {1, max(1, total // 3), total - 1 or 1, total, total + 5}:
+            below = [b for b in every if b.first < cap]
+            assert list(enumerate_behaviours(mdp, stationary, cap)) == below
+
+
+def test_cap_bounds_the_walk_of_a_huge_class(monkeypatch):
+    # 2 ** 42 nonstationary policies, each its own behaviour: the walk must
+    # stop at the cap instead of visiting the whole class.
+    mdp = dense_mdp(7, 6)
+    assert ss.policy_class_size(mdp, stationary=False) == 2**42
+    built = []
+    inner = shortsight.mdp._policy_from_digits
+
+    def counted(*args):
+        built.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(shortsight.mdp, "_policy_from_digits", counted)
+    firsts = [b.first for b in enumerate_behaviours(mdp, stationary=False, cap=1000)]
+    assert firsts == list(range(1000))
+    assert len(built) == 1000
 
 
 def test_make_stationary_fills_forced_states():

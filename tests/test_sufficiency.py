@@ -1,18 +1,26 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import shortsight as ss
+from shortsight import sufficiency
 
 from oracle import (
+    all_nonstationary_policies,
     all_stationary_policies,
     oracle_full_return,
+    oracle_ordering,
     oracle_pair_indistinguishable,
     oracle_sufficient,
     oracle_truncated_return,
+    oracle_witness,
 )
-from randmdp import random_mdp, random_model
+from randmdp import dense_mdp, random_mdp, random_model
 
 
 def test_prefix_not_sufficient_with_commit_witness(prefix3):
@@ -113,19 +121,23 @@ def test_ordering_identity_when_window_covers_horizon(prefix3):
     assert report.truncated_argmax == report.full_argmax
 
 
-def test_ordering_constant_objective_is_consistent(prefix3):
-    mdp, _ = prefix3
-    zeroed = ss.TabularMDP(
+def _with_rewards(mdp, remap):
+    return ss.TabularMDP(
         mdp.states,
         mdp.actions,
         tuple(
-            tuple(tuple((s2, p, Fraction(0)) for s2, p, _ in outs) for outs in per_state)
+            tuple(tuple((s2, p, remap(r)) for s2, p, r in outs) for outs in per_state)
             for per_state in mdp.transitions
         ),
         mdp.horizon,
         mdp.initial,
         mdp.terminal,
     )
+
+
+def test_ordering_constant_objective_is_consistent(prefix3):
+    mdp, _ = prefix3
+    zeroed = _with_rewards(mdp, lambda r: Fraction(0))
     report = ss.check_objective_consistency(zeroed, 1)
     assert report.ordering_agrees
     assert report.argmax_intersects
@@ -225,3 +237,162 @@ def test_richer_model_witness_survives_coarsening():
             ss.segment_distribution(mdp, w.policy_a, ident),
             ss.segment_distribution(mdp, w.policy_b, ident),
         )
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), stationary=st.booleans(), data=st.data())
+def test_quotiented_checkers_match_brute_force(seed, stationary, data):
+    rng = random.Random(seed)
+    if stationary:
+        mdp = random_mdp(rng, max_states=8, max_horizon=5)
+    else:
+        mdp = random_mdp(rng, max_states=4, max_horizon=3)
+    total = ss.policy_class_size(mdp, stationary)
+    assume(total <= 256)
+    if data.draw(st.booleans(), label="coarse rewards"):
+        # Rewards in {0, 1}: returns tie often, which exercises the tie
+        # handling of witnesses, argmax sets and the ordering scan.
+        mdp = _with_rewards(mdp, lambda r: Fraction(r > 0))
+    model = random_model(rng, mdp)
+    view = data.draw(st.sampled_from(["random", "blind", "actions"]), label="view")
+    if view != "random":
+        # One feature and no rewards: "blind" puts every policy in one bucket,
+        # "actions" buckets on window actions alone, so most buckets violate.
+        model = ss.ObservationModel.make(
+            model.window_length,
+            model.window_starts,
+            {s: "f" for s in mdp.states},
+            observe_actions=view == "actions",
+            observe_rewards=False,
+        )
+    last_step = rng.randint(0, mdp.horizon)
+    cap = data.draw(st.one_of(st.integers(1, total), st.just(ss.DEFAULT_CAP)), label="cap")
+    enumerate_class = all_stationary_policies if stationary else all_nonstationary_policies
+    policies = list(islice(enumerate_class(mdp), cap))
+
+    verdict = ss.check_sufficiency(mdp, model, stationary=stationary, cap=cap)
+    pclass = verdict.policy_class
+    assert (pclass.enumerated, pclass.total, pclass.truncated) == (len(policies), total, total > cap)
+    expected = oracle_witness(mdp, model, policies)
+    assert verdict.sufficient == (expected is None)
+    if expected is not None:
+        w = verdict.witness
+        assert (w.index_a, w.index_b, w.return_a, w.return_b) == expected
+        assert (w.policy_a, w.policy_b) == (policies[expected[0]], policies[expected[1]])
+
+    report = ss.check_objective_consistency(mdp, last_step, stationary=stationary, cap=cap)
+    t_argmax, f_argmax, best_t, best_f, agrees = oracle_ordering(mdp, policies, last_step)
+    assert (report.truncated_argmax, report.full_argmax) == (t_argmax, f_argmax)
+    assert (report.best_truncated, report.best_full) == (best_t, best_f)
+    assert report.argmax_intersects == bool(set(t_argmax) & set(f_argmax))
+    assert report.ordering_agrees == agrees
+    assert report.truncated_argmax_descriptions == tuple(policies[i].describe(mdp) for i in t_argmax)
+    assert report.policy_class == pclass
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls to the named functions as the checkers look them up."""
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(sufficiency, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sufficiency, name, wrapper)
+
+    for name in names:
+        counted(name)
+    return calls
+
+
+def test_checkers_evaluate_behaviours_not_policies(monkeypatch):
+    mdp, model = ss.build_greedy(6, 10)
+    calls = _count_calls(monkeypatch, "segment_distribution", "step_rewards")
+    verdict = ss.check_sufficiency(mdp, model)
+    assert verdict.policy_class.enumerated == 8192
+    assert calls == {"segment_distribution": 128, "step_rewards": 128}
+
+    calls.clear()
+    report = ss.check_objective_consistency(mdp, 6)
+    assert report.policy_class.enumerated == 8192
+    assert calls == {"step_rewards": 128}
+
+
+def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
+    # 2 ** 42 nonstationary policies, each its own behaviour: a small cap
+    # must bound the evaluations, not just the reported scope.
+    mdp = dense_mdp(7, 6)
+    model = ss.ObservationModel.make(2, [0], {s: "f" for s in mdp.states})
+    calls = _count_calls(monkeypatch, "segment_distribution", "step_rewards")
+    verdict = ss.check_sufficiency(mdp, model, stationary=False, cap=50)
+    assert verdict.policy_class == ss.PolicyClass("deterministic-nonstationary", 50, 2**42, True)
+    assert calls == {"segment_distribution": 50, "step_rewards": 50}
+
+    calls.clear()
+    report = ss.check_objective_consistency(mdp, 2, stationary=False, cap=50)
+    assert report.policy_class.enumerated == 50
+    assert calls == {"step_rewards": 50}
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_checkers_reject_a_cap_below_one(prefix3, cap):
+    mdp, model = prefix3
+    with pytest.raises(ss.InvalidParam, match="cap must be >= 1"):
+        ss.check_sufficiency(mdp, model, cap=cap)
+    with pytest.raises(ss.InvalidParam, match="cap must be >= 1"):
+        ss.check_objective_consistency(mdp, 1, cap=cap)
+    with pytest.raises(ss.InvalidParam, match="cap must be >= 1"):
+        ss.verify_proposition(1, 2, cap=cap)
+
+
+def test_witness_is_first_across_violating_buckets():
+    # Under an actions-only view several buckets can violate at once; the
+    # witness is the lexicographically smallest (i, j) among them, which is
+    # not always the bucket with the smallest j.
+    crossing = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        mdp = random_mdp(rng)
+        model = random_model(rng, mdp)
+        model = ss.ObservationModel.make(
+            model.window_length, model.window_starts, {s: "f" for s in mdp.states},
+            observe_actions=True, observe_rewards=False,
+        )
+        policies = list(all_stationary_policies(mdp))
+        expected = oracle_witness(mdp, model, policies)
+        verdict = ss.check_sufficiency(mdp, model)
+        if expected is None:
+            assert verdict.sufficient
+            continue
+        w = verdict.witness
+        assert (w.index_a, w.index_b, w.return_a, w.return_b) == expected
+        later = oracle_witness(mdp, model, policies[expected[0] + 1 :])
+        if later is not None and later[1] + expected[0] + 1 < expected[1]:
+            crossing += 1
+    assert crossing >= 2  # the sample must contain buckets whose j's cross
+
+
+def test_ordering_disagrees_when_full_returns_tie():
+    # L earns its reward at step 0 and R at step 1: the truncated objective
+    # strictly prefers L, the full one ties them, so the orderings differ.
+    mdp = ss.build_mdp(
+        states=["s0", "a", "b", "end"],
+        actions={"s0": ["L", "R"], "a": ["go"], "b": ["go"]},
+        transitions={
+            ("s0", "L"): [("a", 1, 1)],
+            ("s0", "R"): [("b", 1, 0)],
+            ("a", "go"): [("end", 1, 0)],
+            ("b", "go"): [("end", 1, 1)],
+        },
+        horizon=2,
+        initial={"s0": 1},
+        terminal=["end"],
+    )
+    report = ss.check_objective_consistency(mdp, 0)
+    assert report.truncated_argmax == (0,)
+    assert report.full_argmax == (0, 1)
+    assert report.argmax_intersects
+    assert not report.ordering_agrees
