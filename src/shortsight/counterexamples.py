@@ -24,13 +24,14 @@ from fractions import Fraction
 from .errors import InvalidParam
 from .evaluate import full_return, truncated_return
 from .mdp import Policy, TabularMDP, build_mdp, make_stationary, rational
-from .observation import (
-    ObservationModel,
-    distributions_equal,
-    identity_phi,
-    segment_distribution,
+from .observation import ObservationModel, distributions_equal, identity_phi, segment_distribution
+from .sufficiency import (
+    DEFAULT_CAP,
+    PolicyClass,
+    check_objective_consistency,
+    check_sufficiency,
+    require_cap,
 )
-from .sufficiency import DEFAULT_CAP, check_objective_consistency, check_sufficiency, require_cap
 
 FAMILIES = ("prefix", "greedy", "aliasing")
 
@@ -44,16 +45,11 @@ class CounterexampleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidParam(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.window_length < 1:
-            raise InvalidParam(f"window_length must be >= 1, got {self.window_length}")
+        h = _positive(self.window_length)
         if self.family == "greedy":
             if self.penalty is None:
                 raise InvalidParam("greedy family requires a penalty M")
-            object.__setattr__(self, "penalty", rational(self.penalty))
-            if self.penalty <= self.window_length + 1:
-                raise InvalidParam(
-                    f"penalty must satisfy M > H+1 (here H+1 = {self.window_length + 1}), got {self.penalty}"
-                )
+            object.__setattr__(self, "penalty", _penalty(h, self.penalty))
         elif self.penalty is not None:
             raise InvalidParam(f"family {self.family!r} takes no penalty")
 
@@ -73,40 +69,7 @@ def build_prefix(window_length: int) -> tuple[TabularMDP, ObservationModel]:
     keep the flat process Markov; the bundled feature map merges the copies,
     so every window starting at t=1 is identical under both commitments.
     """
-    h = _positive(window_length)
-    chain = list(range(1, h + 2))
-    states = ["s0"]
-    for side in ("L", "R"):
-        states += [f"s{t}_{side}" for t in chain]
-    states += ["g", "b"]
-
-    actions = {"s0": ("L", "R")}
-    transitions = {
-        ("s0", "L"): [("s1_L", 1, 0)],
-        ("s0", "R"): [("s1_R", 1, 0)],
-    }
-    for side in ("L", "R"):
-        for t in range(1, h + 1):
-            actions[f"s{t}_{side}"] = ("go",)
-            transitions[(f"s{t}_{side}", "go")] = [(f"s{t+1}_{side}", 1, 0)]
-        actions[f"s{h+1}_{side}"] = ("go",)
-    transitions[(f"s{h+1}_L", "go")] = [("g", 1, 1)]
-    transitions[(f"s{h+1}_R", "go")] = [("b", 1, 0)]
-
-    mdp = build_mdp(
-        states=states,
-        actions=actions,
-        transitions=transitions,
-        horizon=h + 2,
-        initial={"s0": 1},
-        terminal=("g", "b"),
-    )
-    phi = {"s0": "s0", "g": "g", "b": "b"}
-    for side in ("L", "R"):
-        for t in chain:
-            phi[f"s{t}_{side}"] = f"s{t}"
-    model = ObservationModel.make(h, (1,), phi)
-    return mdp, model
+    return _two_chains(window_length, lambda t, side: f"s{t}_{side}", lambda t: f"s{t}")
 
 
 def build_greedy(window_length: int, penalty) -> tuple[TabularMDP, ObservationModel]:
@@ -119,9 +82,7 @@ def build_greedy(window_length: int, penalty) -> tuple[TabularMDP, ObservationMo
     not in observability.
     """
     h = _positive(window_length)
-    m = rational(penalty)
-    if m <= h + 1:
-        raise InvalidParam(f"penalty must satisfy M > H+1 (here H+1 = {h + 1}), got {m}")
+    m = _penalty(h, penalty)
 
     states = ["s0"]
     for t in range(1, h + 2):
@@ -170,39 +131,32 @@ def build_aliasing(window_length: int) -> tuple[TabularMDP, ObservationModel]:
     action; the terminals that reveal the value difference sit past every
     window's end.
     """
+    return _two_chains(window_length, lambda t, side: f"{'u' if side == 'L' else 'v'}{t}", lambda t: f"w{t}")
+
+
+def _two_chains(window_length: int, name, feature) -> tuple[TabularMDP, ObservationModel]:
+    """s0 chooses L or R, entering a go-only chain of H+1 states, name(t,
+    side) for t = 1..H+1, that ends in g (reward 1) after L and b (reward 0)
+    after R. Chain states at depth t share feature(t); windows start at t=1."""
     h = _positive(window_length)
-    states = ["s0"]
-    states += [f"u{t}" for t in range(1, h + 2)]
-    states += [f"v{t}" for t in range(1, h + 2)]
-    states += ["g", "b"]
-
-    actions = {"s0": ("L", "R")}
-    transitions = {
-        ("s0", "L"): [("u1", 1, 0)],
-        ("s0", "R"): [("v1", 1, 0)],
-    }
-    for branch in ("u", "v"):
-        for t in range(1, h + 1):
-            actions[f"{branch}{t}"] = ("go",)
-            transitions[(f"{branch}{t}", "go")] = [(f"{branch}{t+1}", 1, 0)]
-        actions[f"{branch}{h+1}"] = ("go",)
-    transitions[(f"u{h+1}", "go")] = [("g", 1, 1)]
-    transitions[(f"v{h+1}", "go")] = [("b", 1, 0)]
-
+    states, actions, phi = ["s0"], {"s0": ("L", "R")}, {"s0": "s0", "g": "g", "b": "b"}
+    transitions = {("s0", side): [(name(1, side), 1, 0)] for side in ("L", "R")}
+    for side, end, reward in (("L", "g", 1), ("R", "b", 0)):
+        for t in range(1, h + 2):
+            s = name(t, side)
+            states.append(s)
+            actions[s] = ("go",)
+            transitions[(s, "go")] = [(name(t + 1, side), 1, 0) if t <= h else (end, 1, reward)]
+            phi[s] = feature(t)
     mdp = build_mdp(
-        states=states,
+        states=states + ["g", "b"],
         actions=actions,
         transitions=transitions,
         horizon=h + 2,
         initial={"s0": 1},
         terminal=("g", "b"),
     )
-    phi = {"s0": "s0", "g": "g", "b": "b"}
-    for t in range(1, h + 2):
-        phi[f"u{t}"] = f"w{t}"
-        phi[f"v{t}"] = f"w{t}"
-    model = ObservationModel.make(h, (1,), phi)
-    return mdp, model
+    return mdp, ObservationModel.make(h, (1,), phi)
 
 
 def commit_policies(mdp: TabularMDP) -> tuple[Policy, Policy]:
@@ -220,6 +174,13 @@ def _positive(window_length: int) -> int:
     if h < 1:
         raise InvalidParam(f"window_length must be >= 1, got {window_length}")
     return h
+
+
+def _penalty(h: int, penalty) -> Fraction:
+    m = rational(penalty)
+    if m <= h + 1:
+        raise InvalidParam(f"penalty must satisfy M > H+1 (here H+1 = {h + 1}), got {m}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -256,6 +217,14 @@ def _flag_claim(description, true_word, false_word, expected, computed) -> Claim
     )
 
 
+def _scoped(claim: ClaimCheck, pclass: PolicyClass) -> ClaimCheck:
+    """Name the cap in a claim computed over a truncated class."""
+    if not pclass.truncated:
+        return claim
+    note = f"over the first {pclass.enumerated} of {pclass.total} policies: class truncated by the cap"
+    return replace(claim, computed=f"{claim.computed} ({note})")
+
+
 def verify_proposition(
     proposition: int,
     window_length: int,
@@ -264,55 +233,49 @@ def verify_proposition(
 ) -> PropositionReport:
     """Re-derive one proposition's exact claims and report each check."""
     require_cap(cap)
-    if proposition == 1:
-        return _verify_prefix(window_length, cap)
+    if proposition in (1, 3):
+        return _verify_commit(proposition, window_length, cap)
     if proposition == 2:
         return _verify_greedy(window_length, penalty, cap)
-    if proposition == 3:
-        return _verify_aliasing(window_length, cap)
     raise InvalidParam(f"proposition must be 1, 2 or 3, got {proposition}")
 
 
-def _verify_prefix(h: int, cap: int) -> PropositionReport:
-    mdp, model = build_prefix(h)
+def _verify_commit(proposition: int, h: int, cap: int) -> PropositionReport:
+    """Propositions 1 (prefix) and 3 (aliasing): the L and R policies look
+    alike in every window but earn 1 and 0, and a control model tells them apart."""
+    if proposition == 1:
+        family, (mdp, model), noun, view = "prefix", build_prefix(h), "commit", "the L and R commitments"
+        remedy = "a window covering the initial action"
+        control = replace(model, window_starts=tuple(sorted({0, *model.window_starts})))
+    else:
+        family, (mdp, model), noun, view = "aliasing", build_aliasing(h), "branch", "the aliased feature map"
+        remedy = "the identity feature map"
+        control = replace(model, phi=tuple(sorted(identity_phi(mdp).items())))
     pol_l, pol_r = commit_policies(mdp)
-    dist_l = segment_distribution(mdp, pol_l, model, label="commit-L")
-    dist_r = segment_distribution(mdp, pol_r, model, label="commit-R")
-    equal = distributions_equal(dist_l, dist_r)
-    ret_l = full_return(mdp, pol_l)
-    ret_r = full_return(mdp, pol_r)
+    dist_l = segment_distribution(mdp, pol_l, model, label=f"{noun}-L")
+    dist_r = segment_distribution(mdp, pol_r, model, label=f"{noun}-R")
     verdict = check_sufficiency(mdp, model, cap=cap)
-
+    w = verdict.witness
+    control_verdict = check_sufficiency(mdp, control, cap=cap)
     checks = [
-        _flag_claim(
-            "segment distributions under the L and R commitments",
-            "equal", "different", True, equal,
-        ),
-        _value_claim("full return of the L-commit policy", Fraction(1), ret_l),
-        _value_claim("full return of the R-commit policy", Fraction(0), ret_r),
-        _flag_claim(
+        _flag_claim(f"segment distributions under {view}", "equal", "different", True, distributions_equal(dist_l, dist_r)),
+        _value_claim(f"full return of the L-{noun} policy", Fraction(1), full_return(mdp, pol_l)),
+        _value_claim(f"full return of the R-{noun} policy", Fraction(0), full_return(mdp, pol_r)),
+        _scoped(_flag_claim(
             "window statistics identify the optimal policy",
             "sufficient", "not sufficient", False, verdict.sufficient,
-        ),
-        _flag_claim(
-            "witness pair is (commit-L, commit-R) with returns (1, 0)",
+        ), verdict.policy_class),
+        _scoped(_flag_claim(
+            f"witness pair is ({noun}-L, {noun}-R) with returns (1, 0)",
             "yes", "no", True,
-            verdict.witness is not None
-            and verdict.witness.policy_a == pol_l
-            and verdict.witness.policy_b == pol_r
-            and verdict.witness.return_a == 1
-            and verdict.witness.return_b == 0,
-        ),
-    ]
-    control = replace(model, window_starts=tuple(sorted({0, *model.window_starts})))
-    control_verdict = check_sufficiency(mdp, control, cap=cap)
-    checks.append(
-        _flag_claim(
-            "control: a window covering the initial action restores sufficiency",
+            w is not None and (w.policy_a, w.policy_b, w.return_a, w.return_b) == (pol_l, pol_r, 1, 0),
+        ), verdict.policy_class),
+        _scoped(_flag_claim(
+            f"control: {remedy} restores sufficiency",
             "sufficient", "not sufficient", True, control_verdict.sufficient,
-        )
-    )
-    return PropositionReport(1, "prefix", h, None, tuple(checks))
+        ), control_verdict.policy_class),
+    ]
+    return PropositionReport(proposition, family, h, None, tuple(checks))
 
 
 def _verify_greedy(h: int, penalty, cap: int) -> PropositionReport:
@@ -321,75 +284,26 @@ def _verify_greedy(h: int, penalty, cap: int) -> PropositionReport:
     m = rational(penalty)
     mdp, _ = build_greedy(h, m)
     all_greedy, all_patient = greedy_policies(mdp)
-    trunc_greedy = truncated_return(mdp, all_greedy, h)
-    trunc_patient = truncated_return(mdp, all_patient, h)
     ret_greedy = full_return(mdp, all_greedy)
     ret_patient = full_return(mdp, all_patient)
     report = check_objective_consistency(mdp, h, cap=cap)
+    pclass = report.policy_class
 
     checks = [
-        _value_claim("truncated return of all-greedy (steps 0..H)", Fraction(h + 1), trunc_greedy),
-        _value_claim("truncated-return maximum over the class", Fraction(h + 1), report.best_truncated),
-        _value_claim("truncated return of all-patient", Fraction(0), trunc_patient),
+        _value_claim("truncated return of all-greedy (steps 0..H)", Fraction(h + 1), truncated_return(mdp, all_greedy, h)),
+        _scoped(_value_claim("truncated-return maximum over the class", Fraction(h + 1), report.best_truncated), pclass),
+        _value_claim("truncated return of all-patient", Fraction(0), truncated_return(mdp, all_patient, h)),
         _value_claim("full return of all-greedy", Fraction(h + 1) - m, ret_greedy),
         _value_claim("full return of all-patient", Fraction(0), ret_patient),
-        _value_claim("full-return maximum over the class", Fraction(0), report.best_full),
-        _flag_claim(
+        _scoped(_value_claim("full-return maximum over the class", Fraction(0), report.best_full), pclass),
+        _scoped(_flag_claim(
             "truncated and full argmax sets",
             "overlapping", "disjoint", False, report.argmax_intersects,
-        ),
-        _flag_claim(
+        ), pclass),
+        _scoped(_flag_claim(
             "truncated ordering matches the full ordering",
             "yes", "no", False, report.ordering_agrees,
-        ),
+        ), pclass),
         _value_claim("suboptimality gap J(all-patient) - J(all-greedy)", m - (h + 1), ret_patient - ret_greedy),
     ]
     return PropositionReport(2, "greedy", h, m, tuple(checks))
-
-
-def _verify_aliasing(h: int, cap: int) -> PropositionReport:
-    mdp, model = build_aliasing(h)
-    pol_l, pol_r = commit_policies(mdp)
-    dist_l = segment_distribution(mdp, pol_l, model, label="branch-L")
-    dist_r = segment_distribution(mdp, pol_r, model, label="branch-R")
-    equal = distributions_equal(dist_l, dist_r)
-    ret_l = full_return(mdp, pol_l)
-    ret_r = full_return(mdp, pol_r)
-    verdict = check_sufficiency(mdp, model, cap=cap)
-
-    checks = [
-        _flag_claim(
-            "segment distributions under the aliased feature map",
-            "equal", "different", True, equal,
-        ),
-        _value_claim("full return of the L-branch policy", Fraction(1), ret_l),
-        _value_claim("full return of the R-branch policy", Fraction(0), ret_r),
-        _flag_claim(
-            "window statistics identify the optimal policy",
-            "sufficient", "not sufficient", False, verdict.sufficient,
-        ),
-        _flag_claim(
-            "witness pair is (branch-L, branch-R) with returns (1, 0)",
-            "yes", "no", True,
-            verdict.witness is not None
-            and verdict.witness.policy_a == pol_l
-            and verdict.witness.policy_b == pol_r
-            and verdict.witness.return_a == 1
-            and verdict.witness.return_b == 0,
-        ),
-    ]
-    control = ObservationModel.make(
-        model.window_length,
-        model.window_starts,
-        identity_phi(mdp),
-        model.observe_actions,
-        model.observe_rewards,
-    )
-    control_verdict = check_sufficiency(mdp, control, cap=cap)
-    checks.append(
-        _flag_claim(
-            "control: the identity feature map restores sufficiency",
-            "sufficient", "not sufficient", True, control_verdict.sufficient,
-        )
-    )
-    return PropositionReport(3, "aliasing", h, None, tuple(checks))

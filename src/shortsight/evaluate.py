@@ -1,9 +1,9 @@
 """Exact expected returns and state occupancy by forward dynamic programming.
 
 Everything here is a pure function over immutable inputs; expectations are
-computed by pushing the exact state distribution forward one step at a time,
-so stochastic policies cost O(T * |S| * |A|) rather than enumerating
-trajectories.
+computed by pushing the exact state distribution forward one step at a time
+(the integer engine of `observation`), so stochastic policies cost
+O(T * |S| * |A|) rather than enumerating trajectories.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PolicyMismatch
-from .mdp import ONE, ZERO, Cell, Policy, TabularMDP
+from .mdp import Policy, TabularMDP
+from .observation import _engine_for
 
 
 @dataclass(frozen=True)
@@ -25,84 +25,16 @@ class OccupancyTable:
         return {s: p for s, p in enumerate(self.rows[t]) if p != 0}
 
 
-def _check_horizon(mdp: TabularMDP, policy: Policy) -> None:
-    if policy.horizon != mdp.horizon:
-        raise PolicyMismatch(
-            f"policy horizon {policy.horizon} does not match MDP horizon {mdp.horizon}"
-        )
-
-
-def resolve_cell(mdp: TabularMDP, policy: Policy, t: int, state: int) -> Cell:
-    """Action distribution the process follows at (t, state).
-
-    Terminal states use their forced self-loop action. Cells are checked as
-    they are visited, so a policy only has to be defined where the process
-    can actually be.
-    """
-    if state in mdp.terminal:
-        return ((0, ONE),)
-    entries = policy.rows[t].get(state)
-    if entries is None:
-        raise PolicyMismatch(
-            f"policy undefined at t={t} for state {mdp.states[state]}"
-        )
-    if len(entries) == 1:  # point mass, the common case
-        a, p = entries[0]
-        total = p
-    else:
-        total = sum(p for _, p in entries)
-    for a, _ in entries:
-        if not (0 <= a < len(mdp.actions[state])):
-            raise PolicyMismatch(
-                f"policy uses unavailable action id {a} at state {mdp.states[state]}"
-            )
-    if total != 1:
-        raise PolicyMismatch(
-            f"policy cell at t={t}, state {mdp.states[state]} sums to {total}"
-        )
-    return entries
-
-
-def forward(mdp: TabularMDP, policy: Policy, steps: int):
-    """Expected reward per step and sparse occupancy for the first `steps` steps.
-
-    Returns (rewards, dists) where rewards[t] is the exact expected reward
-    gained at step t and dists[t] is the state distribution at time t
-    (length steps+1, dists[0] being the initial distribution).
-    """
-    dist = {s: p for s, p in enumerate(mdp.initial) if p != 0}
-    dists = [dist]
-    rewards = []
-    for t in range(steps):
-        gained = ZERO
-        nxt: dict[int, Fraction] = {}
-        for s, p in dist.items():
-            for a, q in resolve_cell(mdp, policy, t, s):
-                w0 = p if q == 1 else p * q
-                for s2, pr, r in mdp.transitions[s][a]:
-                    if pr == 0:
-                        continue
-                    w = w0 if pr == 1 else w0 * pr
-                    if r != 0:
-                        gained += w * r
-                    seen = nxt.get(s2)
-                    nxt[s2] = w if seen is None else seen + w
-        rewards.append(gained)
-        dists.append(nxt)
-        dist = nxt
-    return rewards, dists
-
-
 def step_rewards(mdp: TabularMDP, policy: Policy) -> tuple[Fraction, ...]:
     """Exact expected reward collected at each step t = 0..T-1."""
-    _check_horizon(mdp, policy)
-    rewards, _ = forward(mdp, policy, mdp.horizon)
-    return tuple(rewards)
+    engine = _engine_for(mdp, policy)
+    _, rewards, _ = engine.evaluate(policy)
+    return tuple(Fraction(r, engine.den(t + 1)) for t, r in enumerate(rewards))
 
 
 def full_return(mdp: TabularMDP, policy: Policy) -> Fraction:
     """Exact expected episode return of `policy` on `mdp`."""
-    return sum(step_rewards(mdp, policy), ZERO)
+    return _return(mdp, policy, mdp.horizon)
 
 
 def truncated_return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fraction:
@@ -113,17 +45,21 @@ def truncated_return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fractio
     """
     if last_step < 0:
         raise ValueError(f"last_step must be >= 0, got {last_step}")
-    _check_horizon(mdp, policy)
-    steps = min(last_step + 1, mdp.horizon)
-    rewards, _ = forward(mdp, policy, steps)
-    return sum(rewards, ZERO)
+    return _return(mdp, policy, min(last_step + 1, mdp.horizon))
+
+
+def _return(mdp: TabularMDP, policy: Policy, steps: int) -> Fraction:
+    engine = _engine_for(mdp, policy)
+    _, rewards, _ = engine.evaluate(policy)
+    return Fraction(engine.total(rewards[:steps]), engine.den(steps))
 
 
 def occupancy(mdp: TabularMDP, policy: Policy) -> OccupancyTable:
     """Exact marginal state distribution at every time t = 0..T."""
-    _check_horizon(mdp, policy)
-    _, dists = forward(mdp, policy, mdp.horizon)
+    engine = _engine_for(mdp, policy)
+    dists, _, _ = engine.evaluate(policy)
     rows = tuple(
-        tuple(d.get(s, ZERO) for s in range(mdp.n_states)) for d in dists
+        tuple(Fraction(d.get(s, 0), engine.d0 * engine.step**t) for s in range(mdp.n_states))
+        for t, d in enumerate(dists)
     )
     return OccupancyTable(rows)

@@ -5,17 +5,28 @@ a feature map over states (which may alias distinct states), and whether
 actions and rewards are visible inside windows. `segment_distribution`
 computes the exact probability mass over observable segments for a policy,
 one normalized distribution per window start, with no sampling involved.
+
+One private integer engine, compiled per (MDP, model), does that work and
+the forward pass behind `evaluate`. It interns features, action labels (by
+label, so one label at two states is one id) and reward values as small
+ints, and a segment is an id in a trie over per-step symbols, so the DPs
+key on ints. Mass at time t is an int over D0 * (D * Dpi)**t, where D0, D
+and Dpi are the lcms of the initial, transition and policy-cell
+denominators (Dpi = 1 for deterministic policies). That denominator does
+not depend on the policy, so within a class two masses are equal as ints
+iff they are equal as Fractions; Fractions appear only at the public edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Mapping
 
 from .errors import InvalidTrajectory, ModelMismatch, PolicyMismatch
-from .evaluate import forward, resolve_cell
-from .mdp import ZERO, Policy, TabularMDP, Trajectory
+from .mdp import Policy, TabularMDP, Trajectory, validate_policy
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,12 @@ def _require_model(mdp: TabularMDP, model: ObservationModel) -> None:
     problems = validate_model(mdp, model)
     if problems:
         raise ModelMismatch("; ".join(problems))
+
+
+def _require_policy(mdp: TabularMDP, policy: Policy) -> None:
+    problems = validate_policy(mdp, policy)
+    if problems:
+        raise PolicyMismatch("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -168,6 +185,159 @@ def _check_trajectory(mdp: TabularMDP, trajectory: Trajectory) -> None:
             )
 
 
+class _Engine:
+    """An MDP, and optionally an observation model, compiled to integers.
+
+    See the module docstring. `den_pi` is a common multiple of the cell
+    denominators of every policy run through the engine: 1 for the
+    deterministic classes the checkers enumerate.
+    """
+
+    def __init__(self, mdp: TabularMDP, model: ObservationModel | None = None, den_pi: int = 1):
+        self.mdp, self.model, self.den_pi = mdp, model, den_pi
+        d = lcm(*(p.denominator for row in mdp.transitions for outs in row for _, p, _ in outs))
+        self.d0 = lcm(*(p.denominator for p in mdp.initial))
+        self.step = d * den_pi
+        self.init = {s: p.numerator * (self.d0 // p.denominator) for s, p in enumerate(mdp.initial) if p != 0}
+        self.rewards = list(dict.fromkeys(r for row in mdp.transitions for outs in row for _, _, r in outs))
+        self.r_den = lcm(*(r.denominator for r in self.rewards))
+        self.r_num = [r.numerator * (self.r_den // r.denominator) for r in self.rewards]
+        phi = model.phi_map if model else dict.fromkeys(mdp.states, "")
+        self.features = list(dict.fromkeys(phi.values()))
+        self.labels = list(dict.fromkeys(a for acts in mdp.actions for a in acts))
+        rid, fid, aid = ({v: i for i, v in enumerate(vs)} for vs in (self.rewards, self.features, self.labels))
+        self.nf, self.nr = len(self.features), len(self.rewards)
+        self.nsym = self.nf * self.nr * len(self.labels)
+        acts = model is not None and model.observe_actions
+        rews = model is not None and model.observe_rewards
+        self.root = [fid[phi[s]] for s in mdp.states]
+        # Per (state, action): (next state, mass numerator over d, reward id,
+        # step symbol), the symbol packing the observed action label id,
+        # reward id and next feature id (unobserved parts read 0).
+        self.outs = [
+            [
+                tuple(
+                    (s2, p.numerator * (d // p.denominator), rid[r],
+                     ((aid[a] if acts else 0) * self.nr + (rid[r] if rews else 0)) * self.nf + self.root[s2])
+                    for s2, p, r in outs
+                    if p != 0
+                )
+                for a, outs in zip(mdp.actions[s], row)
+            ]
+            for s, row in enumerate(mdp.transitions)
+        ]
+        # The cell of each point mass, by (state, action id).
+        self.point = [[((den_pi, o),) for o in row] for row in self.outs]
+        # Segment ids: a trie over step symbols. Id 0 is the empty segment;
+        # kids maps parent * nsym + symbol to the child id.
+        self.kids: dict[int, int] = {}
+        self.parent, self.sym = [0], [0]
+
+    def evaluate(self, policy: Policy):
+        """One forward pass, then one window DP per start from its occupancy.
+
+        Returns (occupancy, rewards, tables): occupancy[t] maps state ids to
+        masses over d0 * step**t; rewards[t], the expected reward of step t,
+        is over r_den * d0 * step**(t+1); tables holds, per window start
+        ascending, the (segment id, mass over d0 * step**(start + H)) pairs
+        by id. The policy is trusted: callers check it first.
+        """
+        mdp, outs, point, den_pi = self.mdp, self.outs, self.point, self.den_pi
+        dist = self.init
+        dists, rewards, cells = [dist], [], []
+        for t in range(mdp.horizon):
+            row, here, acc, nxt = policy.rows[t], {}, [0] * self.nr, {}
+            for s, m in dist.items():
+                if s in mdp.terminal:
+                    cell = point[s][0]
+                else:
+                    entries = row[s]
+                    if len(entries) == 1:  # a point mass, as its sum is 1
+                        cell = point[s][entries[0][0]]
+                    else:
+                        cell = tuple((q.numerator * (den_pi // q.denominator), outs[s][a]) for a, q in entries)
+                here[s] = cell
+                for q, o in cell:
+                    mq = m * q
+                    for s2, p, r, _ in o:
+                        w = mq * p
+                        acc[r] += w
+                        nxt[s2] = nxt.get(s2, 0) + w
+            cells.append(here)
+            rewards.append(sum(map(mul, self.r_num, acc)))
+            dists.append(nxt)
+            dist = nxt
+        return dists, rewards, self._windows(dists, cells) if self.model else ()
+
+    def total(self, rewards) -> int:
+        """The sum of `rewards` from `evaluate`, over den(len(rewards))."""
+        total = 0
+        for r in rewards:
+            total = total * self.step + r
+        return total
+
+    def den(self, steps: int) -> int:
+        """The denominator of a sum of the first `steps` step rewards."""
+        return self.r_den * self.d0 * self.step**steps
+
+    def _windows(self, dists, cells) -> tuple[tuple[tuple[int, int], ...], ...]:
+        n, nsym, kids, child = self.mdp.n_states, self.nsym, self.kids, self._child
+        tables = []
+        for t0 in sorted(self.model.window_starts):
+            # Keys pack (segment id, state) as seg * n + state.
+            frontier = {child(0, self.root[s]) * n + s: m for s, m in dists[t0].items()}
+            for here in cells[t0 : t0 + self.model.window_length]:
+                nxt: dict[int, int] = {}
+                for key, m in frontier.items():
+                    seg, s = divmod(key, n)
+                    base = seg * nsym
+                    for q, o in here[s]:
+                        mq = m * q
+                        for s2, p, _, sym in o:
+                            k = (kids.get(base + sym) or child(seg, sym)) * n + s2
+                            nxt[k] = nxt.get(k, 0) + mq * p
+                frontier = nxt
+            table: dict[int, int] = {}
+            for key, m in frontier.items():
+                table[key // n] = table.get(key // n, 0) + m
+            tables.append(tuple(sorted(table.items())))
+        return tuple(tables)
+
+    def _child(self, seg: int, sym: int) -> int:
+        """The id of segment `seg` extended by step symbol `sym`."""
+        key = seg * self.nsym + sym
+        kid = self.kids.get(key)
+        if kid is None:
+            kid = self.kids[key] = len(self.parent)
+            self.parent.append(seg)
+            self.sym.append(sym)
+        return kid
+
+    def segment(self, t0: int, seg: int) -> ObservedSegment:
+        """The labelled form of segment id `seg` in the window starting at t0."""
+        syms = []
+        while seg:
+            syms.append(self.sym[seg])
+            seg = self.parent[seg]
+        # (action label id, reward id), feature id per symbol, first to last.
+        steps = [(divmod(sym // self.nf, self.nr), sym % self.nf) for sym in reversed(syms)]
+        model = self.model
+        return ObservedSegment(
+            t0,
+            tuple(self.features[f] for _, f in steps),
+            tuple(self.labels[a] for (a, _), _ in steps[1:]) if model.observe_actions else None,
+            tuple(self.rewards[r] for (_, r), _ in steps[1:]) if model.observe_rewards else None,
+        )
+
+
+def _engine_for(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> _Engine:
+    """The engine for a caller's policy, checked here once; den_pi is the
+    lcm of its cell denominators."""
+    _require_policy(mdp, policy)
+    rows = {id(row): row for row in policy.rows}.values()
+    return _Engine(mdp, model, lcm(*(q.denominator for row in rows for cell in row.values() for _, q in cell)))
+
+
 def segment_distribution(
     mdp: TabularMDP,
     policy: Policy,
@@ -176,57 +346,18 @@ def segment_distribution(
 ) -> SegmentDistribution:
     """Exact distribution over observable segments per window start.
 
-    Computed by forward DP over (state, observed prefix) pairs: paths that
-    agree on everything the model lets through are merged as soon as they
-    meet in the same underlying state, so aliasing collapses mass exactly
-    where the learner cannot tell trajectories apart.
+    Paths that agree on everything the model lets through are merged as soon
+    as they meet in the same underlying state, so aliasing collapses mass
+    exactly where the learner cannot tell trajectories apart.
     """
     _require_model(mdp, model)
-    if policy.horizon != mdp.horizon:
-        raise PolicyMismatch(
-            f"policy horizon {policy.horizon} does not match MDP horizon {mdp.horizon}"
-        )
-    phi_ix = tuple(model.phi_map[s] for s in mdp.states)
-    max_start = max(model.window_starts)
-    _, dists = forward(mdp, policy, max_start)
-
+    engine = _engine_for(mdp, policy, model)
+    _, _, tables = engine.evaluate(policy)
     per_start = []
-    for t0 in sorted(model.window_starts):
-        frontier: dict[tuple, Fraction] = {}
-        for s, p in dists[t0].items():
-            key = (s, (phi_ix[s],), (), ())
-            frontier[key] = frontier.get(key, ZERO) + p
-        for step in range(model.window_length):
-            t = t0 + step
-            nxt: dict[tuple, Fraction] = {}
-            for (s, feats, acts, rews), p in frontier.items():
-                for a, q in resolve_cell(mdp, policy, t, s):
-                    w0 = p if q == 1 else p * q
-                    a_label = mdp.actions[s][a]
-                    for s2, pr, r in mdp.transitions[s][a]:
-                        if pr == 0:
-                            continue
-                        w = w0 if pr == 1 else w0 * pr
-                        key = (
-                            s2,
-                            feats + (phi_ix[s2],),
-                            acts + (a_label,) if model.observe_actions else acts,
-                            rews + (r,) if model.observe_rewards else rews,
-                        )
-                        nxt[key] = nxt.get(key, ZERO) + w
-            frontier = nxt
-        table: dict[ObservedSegment, Fraction] = {}
-        for (s, feats, acts, rews), p in frontier.items():
-            seg = ObservedSegment(
-                t0,
-                feats,
-                acts if model.observe_actions else None,
-                rews if model.observe_rewards else None,
-            )
-            table[seg] = table.get(seg, ZERO) + p
-        items = tuple(sorted(table.items(), key=lambda kv: kv[0].sort_key()))
-        per_start.append((t0, items))
-
+    for t0, table in zip(sorted(model.window_starts), tables):
+        den = engine.d0 * engine.step ** (t0 + model.window_length)
+        items = ((engine.segment(t0, seg), Fraction(m, den)) for seg, m in table)
+        per_start.append((t0, tuple(sorted(items, key=lambda kv: kv[0].sort_key()))))
     policy_id = label if label is not None else policy.describe(mdp)
     return SegmentDistribution(model=model, policy_id=policy_id, per_start=tuple(per_start))
 

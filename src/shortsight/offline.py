@@ -15,10 +15,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModelMismatch, PolicyMismatch
-from .evaluate import resolve_cell
-from .mdp import ZERO, Policy, TabularMDP, Trajectory, validate_policy
-from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop
+from .errors import ModelMismatch
+from .mdp import ONE, ZERO, Policy, TabularMDP, Trajectory
+from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop, _require_policy
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,7 @@ def sample_dataset(
     """Draw n independent trajectories under the behavior policy."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    problems = validate_policy(mdp, behavior)
-    if problems:
-        raise PolicyMismatch("; ".join(problems))
+    _require_policy(mdp, behavior)
 
     initial = tuple((s, p) for s, p in enumerate(mdp.initial) if p > 0)
     trajectories = []
@@ -88,7 +85,7 @@ def sample_dataset(
         actions = []
         rewards = []
         for t in range(mdp.horizon):
-            cell = resolve_cell(mdp, behavior, t, s)
+            cell = ((0, ONE),) if s in mdp.terminal else behavior.rows[t][s]
             a = _pick(rng, cell)
             outs = tuple(((s2, r), p) for s2, p, r in mdp.transitions[s][a] if p > 0)
             s2, r = _pick(rng, outs)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParam
-from .evaluate import step_rewards
 from .mdp import (
     Behaviour,
     Policy,
@@ -27,7 +26,7 @@ from .mdp import (
     policy_at_index,
     policy_class_size,
 )
-from .observation import ObservationModel, _require_model, segment_distribution
+from .observation import ObservationModel, _Engine, _require_model
 
 DEFAULT_CAP = 10**6
 
@@ -111,23 +110,22 @@ def check_sufficiency(
     The class is the first `cap` deterministic policies in lexicographic
     order. Policies that agree on every cell the process reaches share one
     behaviour, and each reached behaviour is evaluated once, through its
-    smallest-index member. Behaviours are bucketed by their exact
-    SegmentDistribution (canonical form, so dict hashing is confirmed by
-    full equality); the interface is sufficient iff every bucket carries a
-    single return value. Otherwise the witness is, as over the policies
-    themselves, the first violating pair (i, j) in enumeration order: i the
-    smallest index in its bucket, j the smallest index there whose return
-    differs.
+    smallest-index member, by one pass of the integer engine. Behaviours
+    are bucketed by its per-start tables of segment ids and masses, which
+    are equal iff their SegmentDistributions are; the interface is
+    sufficient iff every bucket carries a single return value. Otherwise
+    the witness is, as over the policies themselves, the first violating
+    pair (i, j) in enumeration order: i the smallest index in its bucket, j
+    the smallest index there whose return differs.
     """
     _require_model(mdp, model)
     require_cap(cap)
     pclass = _policy_class(mdp, stationary, cap)
-    buckets: dict[tuple, list[tuple[int, Fraction]]] = {}
-    for behaviour in enumerate_behaviours(mdp, stationary, cap):
-        i, _, policy = behaviour
-        dist = segment_distribution(mdp, policy, model, label=f"policy[{i}]")
-        ret = sum(step_rewards(mdp, policy), Fraction(0))
-        buckets.setdefault(dist.per_start, []).append((i, ret))
+    engine = _Engine(mdp, model)
+    buckets: dict[tuple, list[tuple[int, int]]] = {}
+    for i, _, policy in enumerate_behaviours(mdp, stationary, cap):
+        _, rewards, tables = engine.evaluate(policy)
+        buckets.setdefault(tables, []).append((i, engine.total(rewards)))
 
     best = None
     for members in buckets.values():
@@ -141,8 +139,10 @@ def check_sufficiency(
     if best is None:
         return SufficiencyVerdict(True, None, pclass)
     i, j, ret_i, ret_j = best
+    den = engine.den(mdp.horizon)
     witness = Witness(
-        i, j, policy_at_index(mdp, i, stationary), policy_at_index(mdp, j, stationary), ret_i, ret_j
+        i, j, policy_at_index(mdp, i, stationary), policy_at_index(mdp, j, stationary),
+        Fraction(ret_i, den), Fraction(ret_j, den),
     )
     return SufficiencyVerdict(False, witness, pclass)
 
@@ -167,10 +167,13 @@ def check_objective_consistency(
     require_cap(cap)
     pclass = _policy_class(mdp, stationary, cap)
     keep = min(last_step + 1, mdp.horizon)
-    evaluated: list[tuple[Fraction, Fraction, Behaviour]] = []
+    engine = _Engine(mdp)
+    # Both values are ints over one denominator per objective, so comparing
+    # them compares the returns exactly.
+    evaluated: list[tuple[int, int, Behaviour]] = []
     for behaviour in enumerate_behaviours(mdp, stationary, cap):
-        rewards = step_rewards(mdp, behaviour.policy)
-        evaluated.append((sum(rewards[:keep], Fraction(0)), sum(rewards, Fraction(0)), behaviour))
+        _, rewards, _ = engine.evaluate(behaviour.policy)
+        evaluated.append((engine.total(rewards[:keep]), engine.total(rewards), behaviour))
 
     best_t = max(trunc for trunc, _, _ in evaluated)
     best_f = max(full for _, full, _ in evaluated)
@@ -183,19 +186,10 @@ def check_objective_consistency(
     intersects = any(trunc == best_t and full == best_f for trunc, full, _ in evaluated)
 
     # Members of one behaviour share both values, so scanning behaviours
-    # decides agreement exactly as scanning their policies would.
-    order = sorted(evaluated, key=lambda e: e[0])
-    agrees = True
-    prev_t = prev_f = None
-    for trunc, full, _ in order:
-        if prev_t is not None:
-            if trunc == prev_t and full != prev_f:
-                agrees = False
-                break
-            if trunc > prev_t and full <= prev_f:
-                agrees = False
-                break
-        prev_t, prev_f = trunc, full
+    # decides agreement exactly as scanning their policies would: sorted by
+    # truncated value, full values must stay level in a tie and rise across one.
+    order = sorted((trunc, full) for trunc, full, _ in evaluated)
+    agrees = all(f2 == f1 if t2 == t1 else f2 > f1 for (t1, f1), (t2, f2) in zip(order, order[1:]))
 
     def describe(indices):
         return tuple(policy_at_index(mdp, i, stationary).describe(mdp) for i in indices)
@@ -204,8 +198,8 @@ def check_objective_consistency(
         last_step=last_step,
         truncated_argmax=t_argmax,
         full_argmax=f_argmax,
-        best_truncated=best_t,
-        best_full=best_f,
+        best_truncated=Fraction(best_t, engine.den(keep)),
+        best_full=Fraction(best_f, engine.den(mdp.horizon)),
         argmax_intersects=intersects,
         ordering_agrees=agrees,
         truncated_argmax_descriptions=describe(t_argmax),

@@ -66,6 +66,26 @@ def test_verify_all_props_exit_zero(capsys):
     assert run_cli(capsys, "verify", "--prop", "3", "--H", "2")[0] == 0
 
 
+def test_verify_names_a_class_truncated_by_the_cap(capsys):
+    # The prefix class has 2 policies: cap 1 leaves only commit-L, which is
+    # trivially sufficient, so the failure must be attributed to the cap.
+    code, out, _ = run_cli(capsys, "verify", "--prop", "1", "--H", "2", "--cap", "1")
+    assert code == 1
+    computed = {c["description"]: c["computed"] for c in json.loads(out)["checks"]}
+    note = "(over the first 1 of 2 policies: class truncated by the cap)"
+    assert computed["window statistics identify the optimal policy"] == f"sufficient {note}"
+    assert computed["full return of the L-commit policy"] == "1"
+
+    code, out, _ = run_cli(capsys, "verify", "--prop", "2", "--H", "2", "--M", "5", "--cap", "3")
+    computed = {c["description"]: c["computed"] for c in json.loads(out)["checks"]}
+    assert computed["full-return maximum over the class"].endswith("class truncated by the cap)")
+    assert computed["full return of all-greedy"] == "-2"
+
+    # An untruncated class keeps the plain words.
+    code, out, _ = run_cli(capsys, "verify", "--prop", "1", "--H", "2", "--cap", "2")
+    assert code == 0 and "truncated" not in out
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = run_cli(capsys, "verify", "--prop", "2", "--H", "2")
     assert code == 2 and "M" in err

@@ -152,3 +152,21 @@ def test_policy_mismatch_on_missing_cell():
     pol = ss.Policy("deterministic", mdp.horizon, ({},) * mdp.horizon, True)
     with pytest.raises(PolicyMismatch):
         ss.full_return(mdp, pol)
+
+
+def test_public_entry_points_check_the_policy_once(prefix3):
+    # Every public entry point checks a caller's policy with validate_policy
+    # before the engine, which trusts it, runs.
+    mdp, model = prefix3
+    row = {mdp.index("s0"): ((0, Fraction(1, 2)),)}
+    bad = ss.Policy("stochastic", mdp.horizon, (row,) * mdp.horizon, True)
+    calls = (
+        ss.step_rewards,
+        ss.full_return,
+        ss.occupancy,
+        lambda mdp, pol: ss.truncated_return(mdp, pol, 1),
+        lambda mdp, pol: ss.segment_distribution(mdp, pol, model),
+    )
+    for call in calls:
+        with pytest.raises(PolicyMismatch, match="does not sum to 1"):
+            call(mdp, bad)

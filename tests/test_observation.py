@@ -2,13 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import shortsight as ss
 from shortsight.errors import InvalidTrajectory, ModelMismatch
 
 from conftest import half_behavior
-from oracle import oracle_full_return, oracle_segments, plain_from_library, support_trajectories
+from oracle import (
+    oracle_full_return,
+    oracle_occupancy,
+    oracle_segments,
+    oracle_truncated_return,
+    plain_from_library,
+    support_trajectories,
+)
 from randmdp import random_mdp, random_model
 
 
@@ -144,6 +151,52 @@ def test_segment_distribution_matches_oracle_random():
         for pol in (half_behavior(mdp), next(iter(ss.enumerate_deterministic_policies(mdp)))):
             dist = ss.segment_distribution(mdp, pol, model)
             assert plain_from_library(dist) == oracle_segments(mdp, pol, model)
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    policy_kind=st.sampled_from(["stationary", "nonstationary", "half"]),
+    observe_actions=st.booleans(),
+    observe_rewards=st.booleans(),
+    coarse=st.booleans(),
+)
+def test_engine_matches_oracle_on_every_view(seed, policy_kind, observe_actions, observe_rewards, coarse):
+    # Action labels are drawn per state from one pool of two, in either
+    # order, so one label sits at different action ids at different states;
+    # with `coarse`, rewards are 0 or 1, so equal reward values occur on
+    # different transitions. Interning must merge both exactly as the
+    # oracle's label tuples do.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=5, max_horizon=4)
+    mdp = ss.TabularMDP(
+        mdp.states,
+        tuple(acts if len(acts) != 2 else tuple(rng.sample(["x", "y"], 2)) for acts in mdp.actions),
+        tuple(
+            tuple(tuple((s2, p, Fraction(r > 0) if coarse else r) for s2, p, r in outs) for outs in row)
+            for row in mdp.transitions
+        ),
+        mdp.horizon,
+        mdp.initial,
+        mdp.terminal,
+    )
+    model = random_model(rng, mdp)
+    model = ss.ObservationModel.make(
+        model.window_length, model.window_starts, model.phi_map, observe_actions, observe_rewards
+    )
+    if policy_kind == "half":
+        policy = half_behavior(mdp)
+    else:
+        stationary = policy_kind == "stationary"
+        policy = ss.mdp.policy_at_index(mdp, rng.randrange(ss.policy_class_size(mdp, stationary)), stationary)
+
+    dist = ss.segment_distribution(mdp, policy, model)
+    assert plain_from_library(dist) == oracle_segments(mdp, policy, model)
+    last_step = rng.randint(0, mdp.horizon)
+    assert ss.full_return(mdp, policy) == oracle_full_return(mdp, policy)
+    assert ss.truncated_return(mdp, policy, last_step) == oracle_truncated_return(mdp, policy, last_step)
+    assert sum(ss.step_rewards(mdp, policy), Fraction(0)) == oracle_full_return(mdp, policy)
+    assert list(ss.occupancy(mdp, policy).rows) == oracle_occupancy(mdp, policy)
 
 
 def test_coarsening_preserves_equality():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shortsight as ss
-from shortsight import sufficiency
+from shortsight import observation
 
 from oracle import (
     all_nonstationary_policies,
@@ -254,16 +254,17 @@ def test_quotiented_checkers_match_brute_force(seed, stationary, data):
         # handling of witnesses, argmax sets and the ordering scan.
         mdp = _with_rewards(mdp, lambda r: Fraction(r > 0))
     model = random_model(rng, mdp)
-    view = data.draw(st.sampled_from(["random", "blind", "actions"]), label="view")
+    view = data.draw(st.sampled_from(["random", "blind", "actions", "rewards"]), label="view")
     if view != "random":
-        # One feature and no rewards: "blind" puts every policy in one bucket,
-        # "actions" buckets on window actions alone, so most buckets violate.
+        # One feature: "blind" puts every policy in one bucket, "actions"
+        # buckets on window actions alone and "rewards" on window rewards
+        # alone, so most buckets violate.
         model = ss.ObservationModel.make(
             model.window_length,
             model.window_starts,
             {s: "f" for s in mdp.states},
             observe_actions=view == "actions",
-            observe_rewards=False,
+            observe_rewards=view == "rewards",
         )
     last_step = rng.randint(0, mdp.horizon)
     cap = data.draw(st.one_of(st.integers(1, total), st.just(ss.DEFAULT_CAP)), label="cap")
@@ -290,35 +291,30 @@ def test_quotiented_checkers_match_brute_force(seed, stationary, data):
     assert report.policy_class == pclass
 
 
-def _count_calls(monkeypatch, *names):
-    """Count calls to the named functions as the checkers look them up."""
+def _count_evaluations(monkeypatch):
+    """Count calls of the engine's one per-behaviour entry point."""
     calls = Counter()
+    inner = observation._Engine.evaluate
 
-    def counted(name):
-        inner = getattr(sufficiency, name)
+    def wrapper(*args, **kwargs):
+        calls["evaluate"] += 1
+        return inner(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(sufficiency, name, wrapper)
-
-    for name in names:
-        counted(name)
+    monkeypatch.setattr(observation._Engine, "evaluate", wrapper)
     return calls
 
 
 def test_checkers_evaluate_behaviours_not_policies(monkeypatch):
     mdp, model = ss.build_greedy(6, 10)
-    calls = _count_calls(monkeypatch, "segment_distribution", "step_rewards")
+    calls = _count_evaluations(monkeypatch)
     verdict = ss.check_sufficiency(mdp, model)
     assert verdict.policy_class.enumerated == 8192
-    assert calls == {"segment_distribution": 128, "step_rewards": 128}
+    assert calls == {"evaluate": 128}
 
     calls.clear()
     report = ss.check_objective_consistency(mdp, 6)
     assert report.policy_class.enumerated == 8192
-    assert calls == {"step_rewards": 128}
+    assert calls == {"evaluate": 128}
 
 
 def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
@@ -326,15 +322,15 @@ def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
     # must bound the evaluations, not just the reported scope.
     mdp = dense_mdp(7, 6)
     model = ss.ObservationModel.make(2, [0], {s: "f" for s in mdp.states})
-    calls = _count_calls(monkeypatch, "segment_distribution", "step_rewards")
+    calls = _count_evaluations(monkeypatch)
     verdict = ss.check_sufficiency(mdp, model, stationary=False, cap=50)
     assert verdict.policy_class == ss.PolicyClass("deterministic-nonstationary", 50, 2**42, True)
-    assert calls == {"segment_distribution": 50, "step_rewards": 50}
+    assert calls == {"evaluate": 50}
 
     calls.clear()
     report = ss.check_objective_consistency(mdp, 2, stationary=False, cap=50)
     assert report.policy_class.enumerated == 50
-    assert calls == {"step_rewards": 50}
+    assert calls == {"evaluate": 50}
 
 
 @pytest.mark.parametrize("cap", [0, -5])
