@@ -6,17 +6,7 @@ under each family's bundled (aliasing) model the TV distance is exactly 0
 at every sample size, which is the indistinguishability result itself.
 """
 
-from fractions import Fraction
-
 import shortsight as ss
-
-
-def half_behavior(mdp):
-    half = {}
-    for s in mdp.choice_states():
-        a0, a1 = mdp.actions[s][0], mdp.actions[s][1]
-        half[mdp.states[s]] = {a0: Fraction(1, 2), a1: Fraction(1, 2)}
-    return ss.make_stationary(mdp, half)
 
 
 def main() -> None:
@@ -27,7 +17,7 @@ def main() -> None:
         ("aliasing", lambda: ss.build_aliasing(3)),
     ):
         mdp, model = build()
-        behavior = half_behavior(mdp)
+        behavior = ss.half_behavior(mdp)
         ident = ss.ObservationModel.make(
             model.window_length, model.window_starts, ss.identity_phi(mdp)
         )

@@ -33,6 +33,7 @@ from .mdp import (
     Trajectory,
     build_mdp,
     enumerate_deterministic_policies,
+    half_behavior,
     make_nonstationary,
     make_stationary,
     policy_class_size,

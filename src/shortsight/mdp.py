@@ -289,6 +289,14 @@ def make_stationary(
     return Policy(kind, mdp.horizon, (row,) * mdp.horizon, True)
 
 
+def half_behavior(mdp: TabularMDP) -> Policy:
+    """50/50 stochastic behavior over the first two actions at every choice
+    state, forced elsewhere."""
+    half = Fraction(1, 2)
+    choices = {mdp.states[s]: {mdp.actions[s][0]: half, mdp.actions[s][1]: half} for s in mdp.choice_states()}
+    return make_stationary(mdp, choices)
+
+
 def make_nonstationary(mdp: TabularMDP, per_step: Sequence[Mapping[str, object]]) -> Policy:
     """Build a time-indexed policy from one choices mapping per timestep."""
     if len(per_step) != mdp.horizon:

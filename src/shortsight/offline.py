@@ -6,16 +6,21 @@ Mersenne Twister generator seeded with the string f"{seed}:{i}" (CPython
 seeds strings via SHA-512), so datasets are byte-stable across runs and can
 be partitioned across workers without changing the result. Every initial
 state, action and transition outcome selection consumes exactly one uniform
-draw, resolved by inverse CDF over outcomes in canonical order.
+draw, resolved by inverse CDF over outcomes in canonical order. Each
+cumulative probability is held as the smallest float not below it, so a draw
+falls below that threshold exactly when it falls below the rational: the same
+draw gives the same outcome as the Fraction inverse CDF.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModelMismatch
+from .errors import InvalidParam, ModelMismatch
 from .mdp import ONE, ZERO, Policy, TabularMDP, Trajectory
 from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop, _require_policy
 
@@ -53,15 +58,23 @@ class EmpiricalSegmentStats:
         return {seg: Fraction(c, self.n) for seg, c in self.counts(start).items()}
 
 
-def _pick(rng: random.Random, outcomes):
-    """Inverse-CDF draw over (thing, probability) pairs in the given order."""
-    x = rng.random()
-    acc = ZERO
-    for thing, p in outcomes:
+def _cdf(pairs) -> tuple[list, list[float]]:
+    """Outcomes and exact thresholds for an inverse-CDF draw over (thing,
+    probability) pairs in the given order."""
+    things, cuts, acc = [], [], ZERO
+    for thing, p in pairs:
         acc += p
-        if x < acc:
-            return thing
-    return outcomes[-1][0]
+        cut = float(acc)  # correctly rounded, so at most one step below acc
+        things.append(thing)
+        cuts.append(cut if cut >= acc else math.nextafter(cut, 2.0))
+    return things, cuts
+
+
+def _pick(rng: random.Random, table):
+    """The first outcome whose threshold exceeds one uniform draw (the last
+    outcome if none does)."""
+    things, cuts = table
+    return things[min(bisect_right(cuts, rng.random()), len(things) - 1)]
 
 
 def sample_dataset(
@@ -73,10 +86,13 @@ def sample_dataset(
 ) -> OfflineDataset:
     """Draw n independent trajectories under the behavior policy."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidParam(f"n must be >= 1, got {n}")
     _require_policy(mdp, behavior)
 
-    initial = tuple((s, p) for s, p in enumerate(mdp.initial) if p > 0)
+    initial = _cdf((s, p) for s, p in enumerate(mdp.initial) if p > 0)
+    moves = [[_cdf(((s2, r), p) for s2, p, r in row if p > 0) for row in rows] for rows in mdp.transitions]
+    # Behaviour cells (t, s) get their table the first time a draw reaches them.
+    cells = [[None] * mdp.n_states for _ in range(mdp.horizon)]
     trajectories = []
     for i in range(n):
         rng = random.Random(f"{seed}:{i}")
@@ -85,10 +101,11 @@ def sample_dataset(
         actions = []
         rewards = []
         for t in range(mdp.horizon):
-            cell = ((0, ONE),) if s in mdp.terminal else behavior.rows[t][s]
+            cell = cells[t][s]
+            if cell is None:
+                cell = cells[t][s] = _cdf(((0, ONE),) if s in mdp.terminal else behavior.rows[t][s])
             a = _pick(rng, cell)
-            outs = tuple(((s2, r), p) for s2, p, r in mdp.transitions[s][a] if p > 0)
-            s2, r = _pick(rng, outs)
+            s2, r = _pick(rng, moves[s][a])
             actions.append(mdp.actions[s][a])
             rewards.append(r)
             states.append(mdp.states[s2])
@@ -99,10 +116,19 @@ def sample_dataset(
 
 
 def empirical_segments(dataset: OfflineDataset, model: ObservationModel) -> EmpiricalSegmentStats:
-    """Crop every trajectory at every window start and tally observed segments."""
+    """Crop every trajectory at every window start and tally observed segments.
+
+    Equal trajectories are checked and cropped once, in first-seen order, and
+    tallied with their count. They are grouped by reward object identity, so no
+    reward is hashed per trajectory; equal rewards in distinct objects only
+    split a group, and the tally merges its segments again.
+    """
+    groups: dict[tuple, list] = {}
+    for traj in dataset.trajectories:
+        groups.setdefault((traj.states, traj.actions, tuple(map(id, traj.rewards))), [traj, 0])[1] += 1
     phi = model.phi_map
     tallies: dict[int, dict[ObservedSegment, int]] = {t: {} for t in model.window_starts}
-    for traj in dataset.trajectories:
+    for traj, count in groups.values():
         if any(t0 + model.window_length > len(traj.states) - 1 for t0 in model.window_starts):
             raise ModelMismatch(
                 f"window start out of range for a trajectory of {len(traj.states) - 1} steps"
@@ -113,7 +139,7 @@ def empirical_segments(dataset: OfflineDataset, model: ObservationModel) -> Empi
             except KeyError as exc:
                 raise ModelMismatch(f"phi has no feature for state {exc.args[0]!r}") from None
             table = tallies[t0]
-            table[seg] = table.get(seg, 0) + 1
+            table[seg] = table.get(seg, 0) + count
     per_start = tuple(
         (t0, tuple(sorted(tallies[t0].items(), key=lambda kv: kv[0].sort_key())))
         for t0 in sorted(model.window_starts)

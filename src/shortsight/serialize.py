@@ -332,6 +332,9 @@ def dataset_from_doc(doc) -> OfflineDataset:
     records = _as_list(top["trajectories"], "trajectories")
     if len(records) != n:
         raise ParseError(f"n is {n} but {len(records)} trajectories are present", "n")
+    # A dataset repeats a few reward strings: each distinct one is parsed once.
+    # Only strings that parsed are kept, so a bad value is reported where it is.
+    rationals: dict[str, Fraction] = {}
     trajectories = []
     for i, rec in enumerate(records):
         where = f"trajectories[{i}]"
@@ -343,13 +346,15 @@ def dataset_from_doc(doc) -> OfflineDataset:
         acts = tuple(
             _as_str(a, f"{where}.actions[{j}]") for j, a in enumerate(_as_list(rec["actions"], f"{where}.actions"))
         )
-        rewards = tuple(
-            parse_rational(r, f"{where}.rewards[{j}]")
-            for j, r in enumerate(_as_list(rec["rewards"], f"{where}.rewards"))
-        )
+        rewards = []
+        for j, r in enumerate(_as_list(rec["rewards"], f"{where}.rewards")):
+            value = rationals.get(r) if isinstance(r, str) else None
+            if value is None:
+                value = rationals[r] = parse_rational(r, f"{where}.rewards[{j}]")
+            rewards.append(value)
         if len(states) != len(acts) + 1 or len(rewards) != len(acts):
             raise ParseError("states/actions/rewards lengths are inconsistent", where)
-        trajectories.append(Trajectory(states, acts, rewards))
+        trajectories.append(Trajectory(states, acts, tuple(rewards)))
     return OfflineDataset(
         tuple(trajectories),
         _as_str(top["behavior_id"], "behavior_id"),

@@ -1,9 +1,8 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import settings
 
 import shortsight as ss
+from shortsight import half_behavior  # noqa: F401  (imported by test modules)
 
 settings.register_profile("exact", deadline=None, derandomize=True)
 settings.load_profile("exact")
@@ -22,12 +21,3 @@ def greedy310():
 @pytest.fixture
 def aliasing3():
     return ss.build_aliasing(3)
-
-
-def half_behavior(mdp):
-    """50/50 stochastic behavior at every choice state, forced elsewhere."""
-    half = {}
-    for s in mdp.choice_states():
-        a0, a1 = mdp.actions[s][0], mdp.actions[s][1]
-        half[mdp.states[s]] = {a0: Fraction(1, 2), a1: Fraction(1, 2)}
-    return ss.make_stationary(mdp, half)

@@ -7,10 +7,12 @@ is used to check.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
-from shortsight.mdp import Policy
+from shortsight.mdp import Policy, Trajectory
+from shortsight.offline import OfflineDataset
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -171,3 +173,48 @@ def oracle_ordering(mdp, policies, last_step):
         best_f,
         agrees,
     )
+
+
+def oracle_pick(rng, outcomes):
+    """Inverse-CDF draw over (thing, probability) pairs in the given order,
+    comparing the float draw with running Fraction sums."""
+    x = rng.random()
+    acc = ZERO
+    for thing, p in outcomes:
+        acc += p
+        if x < acc:
+            return thing
+    return outcomes[-1][0]
+
+
+def oracle_sample_dataset(mdp, behavior, n, seed, behavior_id=None):
+    """Reference sampler: the same seeding and draw order as `sample_dataset`,
+    every draw resolved by `oracle_pick`."""
+    initial = tuple((s, p) for s, p in enumerate(mdp.initial) if p > 0)
+    trajectories = []
+    for i in range(n):
+        rng = random.Random(f"{seed}:{i}")
+        s = oracle_pick(rng, initial)
+        states, actions, rewards = [mdp.states[s]], [], []
+        for t in range(mdp.horizon):
+            cell = ((0, ONE),) if s in mdp.terminal else behavior.rows[t][s]
+            a = oracle_pick(rng, cell)
+            outs = tuple(((s2, r), p) for s2, p, r in mdp.transitions[s][a] if p > 0)
+            s2, r = oracle_pick(rng, outs)
+            actions.append(mdp.actions[s][a])
+            rewards.append(r)
+            states.append(mdp.states[s2])
+            s = s2
+        trajectories.append(Trajectory(tuple(states), tuple(actions), tuple(rewards)))
+    label = behavior_id if behavior_id is not None else behavior.describe(mdp)
+    return OfflineDataset(tuple(trajectories), label, seed)
+
+
+def oracle_tally(trajectories, model):
+    """Per window start: {plain segment tuple: count}, one crop per trajectory."""
+    tables = {t0: {} for t0 in model.window_starts}
+    for traj in trajectories:
+        for t0 in model.window_starts:
+            key = crop_plain(traj.states, traj.actions, traj.rewards, model, t0)
+            tables[t0][key] = tables[t0].get(key, 0) + 1
+    return tables

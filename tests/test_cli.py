@@ -177,6 +177,19 @@ def test_sample_round_trips(tmp_path, prefix_files, capsys):
     assert ds.n == 20 and ds.seed == 3
 
 
+def test_sample_rejects_empty_dataset(tmp_path, prefix_files, capsys):
+    mdp_path, _ = prefix_files
+    mdp = load_mdp(mdp_path)
+    pol_path = write_policy(tmp_path, mdp, half_behavior(mdp), "behavior.json")
+    code, out, err = run_cli(
+        capsys, "sample", "--mdp", mdp_path, "--behavior", pol_path,
+        "--n", "0", "--seed", "3", "-o", str(tmp_path / "data.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "n must be >= 1, got 0" in err
+
+
 def test_malformed_input_is_exit_two_not_a_crash(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,12 +1,19 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shortsight as ss
-from shortsight.errors import ModelMismatch, PolicyMismatch
+from shortsight import offline
+from shortsight.errors import InvalidParam, ModelMismatch, PolicyMismatch
 from shortsight.serialize import serialize_dataset
 
 from conftest import half_behavior
+from oracle import oracle_pick, oracle_sample_dataset, oracle_tally, plain_from_library
+from randmdp import random_mdp, random_model
 
 # Frozen oracle values, recorded before these tests were written:
 #  - exact Binomial(1000, 1/2) central 99% interval: [459, 541]
@@ -63,7 +70,7 @@ def test_sampling_is_reproducible_byte_for_byte(prefix3):
 def test_sample_rejects_bad_inputs(prefix3):
     mdp, _ = prefix3
     behavior = half_behavior(mdp)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         ss.sample_dataset(mdp, behavior, 0, 1)
     broken = ss.Policy("deterministic", mdp.horizon, ({},) * mdp.horizon, True)
     with pytest.raises(PolicyMismatch):
@@ -203,3 +210,153 @@ def test_dataset_prefix_partitioning_is_consistent(prefix3):
     small = ss.sample_dataset(mdp, behavior, 10, 21)
     large = ss.sample_dataset(mdp, behavior, 30, 21)
     assert large.trajectories[:10] == small.trajectories
+
+
+# Odd, large and above-2^53 denominators, so that cumulative probabilities are
+# rarely floats and their float roundings fall on either side.
+DENOMINATORS = (3, 7, 10, 1_000_003, 2**61 - 1, 3**40, 10**30 + 7)
+
+
+def _split(rng, k):
+    """k positive probabilities summing to 1 over one drawn denominator."""
+    den = max(rng.choice(DENOMINATORS), k)
+    cuts = set()
+    while len(cuts) < k - 1:
+        cuts.add(rng.randrange(1, den))
+    cuts = sorted(cuts)
+    return [Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+
+
+def _reweighted(rng, mdp):
+    """The same MDP with new initial and transition probabilities from `_split`."""
+    support = [s for s, p in enumerate(mdp.initial) if p > 0]
+    initial = [Fraction(0)] * mdp.n_states
+    for s, p in zip(support, _split(rng, len(support))):
+        initial[s] = p
+    transitions = tuple(
+        tuple(
+            tuple((s2, p, r) for (s2, _, r), p in zip(outs, _split(rng, len(outs))))
+            for outs in row
+        )
+        for row in mdp.transitions
+    )
+    return ss.TabularMDP(mdp.states, mdp.actions, transitions, mdp.horizon, tuple(initial), mdp.terminal)
+
+
+def _stochastic_behavior(rng, mdp, stationary):
+    def row():
+        return {
+            s: tuple(enumerate(_split(rng, len(mdp.actions[s]))))
+            for s in mdp.nonterminal()
+        }
+
+    rows = (row(),) * mdp.horizon if stationary else tuple(row() for _ in range(mdp.horizon))
+    return ss.Policy("stochastic", mdp.horizon, rows, stationary)
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), stationary=st.booleans(), n=st.integers(1, 40))
+def test_sampler_matches_fraction_inverse_cdf(seed, stationary, n):
+    rng = random.Random(seed)
+    mdp = _reweighted(rng, random_mdp(rng, max_states=5, max_actions=3))
+    behavior = _stochastic_behavior(rng, mdp, stationary)
+    data_seed = rng.randrange(1000)
+    ds = ss.sample_dataset(mdp, behavior, n, data_seed)
+    reference = oracle_sample_dataset(mdp, behavior, n, data_seed)
+    assert ds == reference
+    assert serialize_dataset(ds) == serialize_dataset(reference)
+
+
+class _Draws:
+    """A stand-in generator that returns the given floats in order."""
+
+    def __init__(self, *xs):
+        self.xs = list(xs)
+
+    def random(self):
+        return self.xs.pop(0)
+
+
+def _neighbours(x):
+    """x and the two floats on either side of it that are valid draws."""
+    below = math.nextafter(x, 0.0)
+    above = math.nextafter(x, 1.0)
+    near = (math.nextafter(below, 0.0), below, x, above, math.nextafter(above, 1.0))
+    return [y for y in near if 0.0 <= y < 1.0]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        (("lo", Fraction(1, 2)), ("hi", Fraction(1, 2))),
+        tuple((k, Fraction(1, 3)) for k in range(3)),
+        (("lo", 1 - Fraction(1, 2**53)), ("hi", Fraction(1, 2**53))),
+        (("lo", Fraction(1, 5)), ("hi", Fraction(4, 5))),
+        (("lo", Fraction(1, 3**40)), ("hi", 1 - Fraction(1, 3**40))),
+    ],
+)
+def test_pick_agrees_with_the_fraction_comparison_at_every_cut(pairs):
+    table = offline._cdf(pairs)
+    acc = Fraction(0)
+    for _, p in pairs:
+        acc += p
+        for x in _neighbours(float(acc)):
+            assert offline._pick(_Draws(x), table) == oracle_pick(_Draws(x), pairs), x
+
+
+def test_pick_boundary_draws():
+    half = offline._cdf((("lo", Fraction(1, 2)), ("hi", Fraction(1, 2))))
+    assert offline._pick(_Draws(0.5), half) == "hi"
+    assert offline._pick(_Draws(math.nextafter(0.5, 0.0)), half) == "lo"
+    top = 1 - Fraction(1, 2**53)
+    edge = offline._cdf((("lo", top), ("hi", 1 - top)))
+    assert offline._pick(_Draws(float(top)), edge) == "hi"
+    assert offline._pick(_Draws(math.nextafter(float(top), 0.0)), edge) == "lo"
+    # A float just above 1/5 but below the next multiple of 2^-53: a threshold
+    # rounded up to a multiple of 2^-53 would wrongly put it below the cut.
+    fifth = Fraction(1, 5)
+    x = math.nextafter(float(fifth), 1.0)
+    assert fifth < x < Fraction(math.ceil(fifth * 2**53), 2**53)
+    assert offline._pick(_Draws(x), offline._cdf((("lo", fifth), ("hi", 1 - fifth)))) == "hi"
+    # A draw past every threshold takes the last outcome, as the oracle does.
+    short = (("lo", Fraction(1, 4)), ("hi", Fraction(1, 4)))
+    assert offline._pick(_Draws(0.75), offline._cdf(short)) == oracle_pick(_Draws(0.75), short) == "hi"
+
+
+def _with_fresh_rewards(traj):
+    """An equal trajectory whose rewards are different Fraction objects."""
+    return ss.Trajectory(traj.states, traj.actions, tuple(Fraction(r.numerator, r.denominator) for r in traj.rewards))
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tallies_match_per_trajectory_crops(seed):
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=5)
+    model = random_model(rng, mdp)
+    base = ss.sample_dataset(mdp, half_behavior(mdp), rng.randint(1, 12), seed)
+    trajectories = [
+        rng.choice((lambda t: t, _with_fresh_rewards))(rng.choice(base.trajectories))
+        for _ in range(rng.randint(1, 200))
+    ]
+    ds = ss.OfflineDataset(tuple(trajectories), base.behavior_id, base.seed)
+    stats = ss.empirical_segments(ds, model)
+    assert stats.n == len(trajectories)
+    assert plain_from_library(stats) == oracle_tally(trajectories, model)
+
+
+def test_first_offending_trajectory_is_reported_after_repeats(prefix3):
+    mdp, model = prefix3
+    good = ss.sample_dataset(mdp, half_behavior(mdp), 4, 1).trajectories
+    short = ss.Trajectory(good[0].states[:3], good[0].actions[:2], good[0].rewards[:2])
+    ghost = ss.Trajectory(good[1].states[:2] + ("ghost",) + good[1].states[3:], good[1].actions, good[1].rewards)
+    cases = (
+        (short, f"window start out of range for a trajectory of {len(short.states) - 1} steps"),
+        (ghost, "phi has no feature for state 'ghost'"),
+    )
+    for bad, message in cases:
+        other = ghost if bad is short else short
+        ds = ss.OfflineDataset(good * 500 + (bad,) + good + (other,), "b", 0)
+        with pytest.raises(ModelMismatch) as exc:
+            ss.empirical_segments(ds, model)
+        assert str(exc.value) == message

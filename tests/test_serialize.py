@@ -87,6 +87,23 @@ def test_dataset_round_trip(prefix3):
     assert serialize_dataset(again) == text
 
 
+@pytest.mark.parametrize("bad", ["0.5", 1, [], None])
+def test_bad_reward_after_many_repeats_is_reported_where_it_is(bad):
+    # Reward strings are parsed once per distinct string; a bad value must
+    # still fail at its own path, however often a good string came before.
+    good = {"states": ["a", "a", "a"], "actions": ["x", "x"], "rewards": ["1/2", "-3"]}
+    records = [json.loads(json.dumps(good)) for _ in range(3000)]
+    records[2500]["rewards"][1] = bad
+    doc = {"behavior_id": "b", "seed": 0, "n": len(records), "trajectories": records}
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(json.dumps(doc))
+    assert exc.value.position == "trajectories[2500].rewards[1]"
+    del records[2500]
+    doc["n"] = len(records)
+    ds = parse_dataset(json.dumps(doc))
+    assert {traj.rewards for traj in ds.trajectories} == {(Fraction(1, 2), Fraction(-3))}
+
+
 def test_empty_document_is_a_parse_error_at_position_zero():
     with pytest.raises(ParseError) as exc:
         parse_mdp("")
