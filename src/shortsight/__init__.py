@@ -16,7 +16,6 @@ from .counterexamples import (
     verify_proposition,
 )
 from .errors import (
-    CapExceeded,
     DocumentError,
     InvalidParam,
     InvalidTrajectory,
@@ -32,10 +31,10 @@ from .mdp import (
     TabularMDP,
     Trajectory,
     build_mdp,
-    enumerate_deterministic_policies,
     half_behavior,
     make_nonstationary,
     make_stationary,
+    policy_at_index,
     policy_class_size,
     rational,
     validate_mdp,

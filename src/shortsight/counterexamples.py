@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import InvalidParam
 from .evaluate import full_return, truncated_return
 from .mdp import Policy, TabularMDP, build_mdp, make_stationary, rational
-from .observation import ObservationModel, distributions_equal, identity_phi, segment_distribution
+from .observation import ObservationModel, all_window_starts, distributions_equal, identity_phi, segment_distribution
 from .sufficiency import (
     DEFAULT_CAP,
     PolicyClass,
@@ -118,9 +118,7 @@ def build_greedy(window_length: int, penalty) -> tuple[TabularMDP, ObservationMo
     for t in range(1, h + 2):
         phi[f"s{t}_clean"] = f"s{t}"
         phi[f"s{t}_flag"] = f"s{t}"
-    starts = tuple(range(0, mdp.horizon - h + 1))
-    model = ObservationModel.make(h, starts, phi)
-    return mdp, model
+    return mdp, ObservationModel.make(h, all_window_starts(mdp, h), phi)
 
 
 def build_aliasing(window_length: int) -> tuple[TabularMDP, ObservationModel]:
@@ -252,8 +250,8 @@ def _verify_commit(proposition: int, h: int, cap: int) -> PropositionReport:
         remedy = "the identity feature map"
         control = replace(model, phi=tuple(sorted(identity_phi(mdp).items())))
     pol_l, pol_r = commit_policies(mdp)
-    dist_l = segment_distribution(mdp, pol_l, model, label=f"{noun}-L")
-    dist_r = segment_distribution(mdp, pol_r, model, label=f"{noun}-R")
+    dist_l = segment_distribution(mdp, pol_l, model)
+    dist_r = segment_distribution(mdp, pol_r, model)
     verdict = check_sufficiency(mdp, model, cap=cap)
     w = verdict.witness
     control_verdict = check_sufficiency(mdp, control, cap=cap)

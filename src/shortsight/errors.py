@@ -22,21 +22,6 @@ class InvalidTrajectory(ShortsightError):
     """A trajectory is inconsistent with the MDP's transition support."""
 
 
-class CapExceeded(ShortsightError):
-    """Policy enumeration was truncated at the configured cap.
-
-    Carries the full class size so downstream verdicts can be scoped to the
-    enumerated subset.
-    """
-
-    def __init__(self, total, cap):
-        super().__init__(
-            f"policy enumeration truncated at cap={cap}; the class contains {total} policies"
-        )
-        self.total = total
-        self.cap = cap
-
-
 class DocumentError(ShortsightError):
     """Base class for problems with serialized documents."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvalidParam
 from .mdp import Policy, TabularMDP
 from .observation import _engine_for
 
@@ -43,9 +44,15 @@ def truncated_return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fractio
     `last_step` is the inclusive index of the final reward term, so a value
     of h keeps h+1 terms; any last_step >= T-1 reproduces the full return.
     """
+    return _return(mdp, policy, _kept_steps(mdp, last_step))
+
+
+def _kept_steps(mdp: TabularMDP, last_step: int) -> int:
+    """The one rule for an inclusive last reward index: reward terms
+    0..last_step, clipped to the horizon."""
     if last_step < 0:
-        raise ValueError(f"last_step must be >= 0, got {last_step}")
-    return _return(mdp, policy, min(last_step + 1, mdp.horizon))
+        raise InvalidParam(f"last_step must be >= 0, got {last_step}")
+    return min(last_step + 1, mdp.horizon)
 
 
 def _return(mdp: TabularMDP, policy: Policy, steps: int) -> Fraction:

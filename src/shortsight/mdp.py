@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import CapExceeded
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -118,19 +116,20 @@ def build_mdp(
         else:
             act_rows.append(())
 
-    seen = set()
-    for (s, a) in transitions:
+    for (s, a), outs in transitions.items():
         if s not in idx:
             raise ValueError(f"transition given for unknown state {s!r}")
         if a not in act_rows[idx[s]]:
             raise ValueError(f"transition for state {s!r} uses unknown action {a!r}")
-        seen.add((s, a))
+        for nxt, *_ in outs:
+            if nxt not in idx:
+                raise ValueError(f"transition for ({s!r}, {a!r}) leads to unknown state {nxt!r}")
 
     trans_rows = []
     for i, s in enumerate(labels):
         per_action = []
         for a in act_rows[i]:
-            if (s, a) in seen:
+            if (s, a) in transitions:
                 outs = tuple(
                     (idx[nxt], rational(p), rational(r))
                     for nxt, p, r in transitions[(s, a)]
@@ -221,9 +220,6 @@ class Policy:
     horizon: int
     rows: tuple[dict[int, Cell], ...]
     stationary: bool
-
-    def cell(self, t: int, state: int) -> Cell | None:
-        return self.rows[t].get(state)
 
     def describe(self, mdp: TabularMDP) -> str:
         """Canonical human-readable description, listing choice states only."""
@@ -438,27 +434,6 @@ def policy_at_index(mdp: TabularMDP, index: int, stationary: bool = True) -> Pol
     return _policy_from_digits(mdp, cells, digits[::-1], stationary)
 
 
-def enumerate_deterministic_policies(
-    mdp: TabularMDP,
-    stationary: bool = True,
-    cap: int = 1_000_000,
-) -> Iterator[Policy]:
-    """Yield every deterministic policy over the MDP's non-terminal states.
-
-    Order is lexicographic in action ids over `policy_cells`, so enumeration
-    is reproducible and the n-th policy yielded is `policy_at_index(n)`.
-    After `cap` policies, raises CapExceeded carrying the full class size;
-    downstream verdicts must then be scoped to the subset seen.
-    """
-    cells = policy_cells(mdp, stationary)
-    radices = [len(mdp.actions[s]) for _, s in cells]
-    total = prod(radices)
-    for count, digits in enumerate(itertools.product(*(range(k) for k in radices))):
-        if count >= cap:
-            raise CapExceeded(total, cap)
-        yield _policy_from_digits(mdp, cells, digits, stationary)
-
-
 class Behaviour(NamedTuple):
     """The deterministic policies that agree on every cell the process reaches.
 
@@ -493,7 +468,7 @@ def enumerate_behaviours(
     distribution and branches only at reached cells still undecided: per
     state for the stationary class, per (t, state) for the nonstationary
     one. The behaviours partition the class, with member indices in
-    `policy_cells` order, as `enumerate_deterministic_policies` numbers it.
+    `policy_cells` order, as `policy_at_index` numbers it.
     With a `cap`, only behaviours whose first member is below it are
     walked, so at most `cap` behaviours are built.
     """
@@ -537,5 +512,6 @@ def enumerate_behaviours(
 
 
 def policy_class_size(mdp: TabularMDP, stationary: bool = True) -> int:
-    """Closed-form size of the deterministic policy class enumerated above."""
+    """Closed-form size of the deterministic class: `policy_at_index` takes
+    indices below it."""
     return prod(len(mdp.actions[s]) for _, s in policy_cells(mdp, stationary))

@@ -342,7 +342,6 @@ def segment_distribution(
     mdp: TabularMDP,
     policy: Policy,
     model: ObservationModel,
-    label: str | None = None,
 ) -> SegmentDistribution:
     """Exact distribution over observable segments per window start.
 
@@ -358,8 +357,7 @@ def segment_distribution(
         den = engine.d0 * engine.step ** (t0 + model.window_length)
         items = ((engine.segment(t0, seg), Fraction(m, den)) for seg, m in table)
         per_start.append((t0, tuple(sorted(items, key=lambda kv: kv[0].sort_key()))))
-    policy_id = label if label is not None else policy.describe(mdp)
-    return SegmentDistribution(model=model, policy_id=policy_id, per_start=tuple(per_start))
+    return SegmentDistribution(model=model, policy_id=policy.describe(mdp), per_start=tuple(per_start))
 
 
 def distributions_equal(a: SegmentDistribution, b: SegmentDistribution) -> bool:

@@ -82,7 +82,6 @@ def sample_dataset(
     behavior: Policy,
     n: int,
     seed: int,
-    behavior_id: str | None = None,
 ) -> OfflineDataset:
     """Draw n independent trajectories under the behavior policy."""
     if n < 1:
@@ -111,8 +110,7 @@ def sample_dataset(
             states.append(mdp.states[s2])
             s = s2
         trajectories.append(Trajectory(tuple(states), tuple(actions), tuple(rewards)))
-    label = behavior_id if behavior_id is not None else behavior.describe(mdp)
-    return OfflineDataset(tuple(trajectories), label, seed)
+    return OfflineDataset(tuple(trajectories), behavior.describe(mdp), seed)
 
 
 def empirical_segments(dataset: OfflineDataset, model: ObservationModel) -> EmpiricalSegmentStats:

@@ -80,6 +80,16 @@ def _as_bool(obj, where):
     return obj
 
 
+def _strings(obj, where) -> tuple[str, ...]:
+    """A list of strings, checked at once; only a failure builds the path of
+    the first non-string item."""
+    items = _as_list(obj, where)
+    for j, item in enumerate(items):
+        if not isinstance(item, str):
+            _as_str(item, f"{where}[{j}]")
+    return tuple(items)
+
+
 def _check_fields(d: dict, where: str, required: tuple, optional: tuple = ()):
     unknown = sorted(set(d) - set(required) - set(optional))
     if unknown:
@@ -92,7 +102,7 @@ def _check_fields(d: dict, where: str, required: tuple, optional: tuple = ()):
 # ---------------------------------------------------------------- MDP
 
 
-def mdp_to_doc(mdp: TabularMDP) -> dict:
+def serialize_mdp(mdp: TabularMDP) -> str:
     transitions = []
     for s in range(mdp.n_states):
         for a, label in enumerate(mdp.actions[s]):
@@ -106,7 +116,7 @@ def mdp_to_doc(mdp: TabularMDP) -> dict:
                         "reward": format_rational(r),
                     }
                 )
-    return {
+    return canonical_json({
         "states": list(mdp.states),
         "actions": {mdp.states[s]: list(mdp.actions[s]) for s in range(mdp.n_states)},
         "transitions": transitions,
@@ -115,17 +125,17 @@ def mdp_to_doc(mdp: TabularMDP) -> dict:
             mdp.states[s]: format_rational(p) for s, p in enumerate(mdp.initial) if p != 0
         },
         "terminal": [mdp.states[s] for s in sorted(mdp.terminal)],
-    }
+    })
 
 
-def mdp_from_doc(doc) -> TabularMDP:
-    top = _as_dict(doc, "document")
+def parse_mdp(text: str) -> TabularMDP:
+    top = _as_dict(_load_json(text), "document")
     _check_fields(
         top, "document",
         required=("states", "actions", "transitions", "horizon", "initial"),
         optional=("terminal",),
     )
-    states = [_as_str(s, f"states[{i}]") for i, s in enumerate(_as_list(top["states"], "states"))]
+    states = _strings(top["states"], "states")
     if len(set(states)) != len(states):
         raise ParseError("duplicate state labels", "states")
     known = set(states)
@@ -134,9 +144,7 @@ def mdp_from_doc(doc) -> TabularMDP:
     for label, acts in _as_dict(top["actions"], "actions").items():
         if label not in known:
             raise ParseError(f"unknown state {label!r}", "actions")
-        actions[label] = tuple(
-            _as_str(a, f"actions[{label}][{i}]") for i, a in enumerate(_as_list(acts, f"actions[{label}]"))
-        )
+        actions[label] = _strings(acts, f"actions[{label}]")
 
     transitions: dict[tuple[str, str], list] = {}
     for i, rec in enumerate(_as_list(top["transitions"], "transitions")):
@@ -182,29 +190,21 @@ def mdp_from_doc(doc) -> TabularMDP:
     return mdp
 
 
-def serialize_mdp(mdp: TabularMDP) -> str:
-    return canonical_json(mdp_to_doc(mdp))
-
-
-def parse_mdp(text: str) -> TabularMDP:
-    return mdp_from_doc(_load_json(text))
-
-
 # ---------------------------------------------------- Observation model
 
 
-def model_to_doc(model: ObservationModel) -> dict:
-    return {
+def serialize_model(model: ObservationModel) -> str:
+    return canonical_json({
         "window_length": model.window_length,
         "window_starts": list(model.window_starts),
         "phi": dict(model.phi),
         "observe_actions": model.observe_actions,
         "observe_rewards": model.observe_rewards,
-    }
+    })
 
 
-def model_from_doc(doc) -> ObservationModel:
-    top = _as_dict(doc, "document")
+def parse_model(text: str) -> ObservationModel:
+    top = _as_dict(_load_json(text), "document")
     _check_fields(
         top, "document",
         required=("window_length", "window_starts", "phi", "observe_actions", "observe_rewards"),
@@ -226,18 +226,10 @@ def model_from_doc(doc) -> ObservationModel:
     )
 
 
-def serialize_model(model: ObservationModel) -> str:
-    return canonical_json(model_to_doc(model))
-
-
-def parse_model(text: str) -> ObservationModel:
-    return model_from_doc(_load_json(text))
-
-
 # ------------------------------------------------------------- Policy
 
 
-def policy_to_doc(policy: Policy, mdp: TabularMDP) -> dict:
+def serialize_policy(policy: Policy, mdp: TabularMDP) -> str:
     def row_doc(row):
         return {
             mdp.states[s]: {
@@ -247,16 +239,16 @@ def policy_to_doc(policy: Policy, mdp: TabularMDP) -> dict:
         }
 
     rows = [policy.rows[0]] if policy.stationary else list(policy.rows)
-    return {
+    return canonical_json({
         "kind": policy.kind,
         "horizon": policy.horizon,
         "stationary": policy.stationary,
         "rows": [row_doc(row) for row in rows],
-    }
+    })
 
 
-def policy_from_doc(doc, mdp: TabularMDP) -> Policy:
-    top = _as_dict(doc, "document")
+def parse_policy(text: str, mdp: TabularMDP) -> Policy:
+    top = _as_dict(_load_json(text), "document")
     _check_fields(top, "document", required=("kind", "horizon", "stationary", "rows"))
     kind = _as_str(top["kind"], "kind")
     horizon = _as_int(top["horizon"], "horizon")
@@ -298,19 +290,11 @@ def policy_from_doc(doc, mdp: TabularMDP) -> Policy:
     return policy
 
 
-def serialize_policy(policy: Policy, mdp: TabularMDP) -> str:
-    return canonical_json(policy_to_doc(policy, mdp))
-
-
-def parse_policy(text: str, mdp: TabularMDP) -> Policy:
-    return policy_from_doc(_load_json(text), mdp)
-
-
 # ------------------------------------------------------------- Dataset
 
 
-def dataset_to_doc(dataset: OfflineDataset) -> dict:
-    return {
+def serialize_dataset(dataset: OfflineDataset) -> str:
+    return canonical_json({
         "behavior_id": dataset.behavior_id,
         "seed": dataset.seed,
         "n": dataset.n,
@@ -322,11 +306,11 @@ def dataset_to_doc(dataset: OfflineDataset) -> dict:
             }
             for traj in dataset.trajectories
         ],
-    }
+    })
 
 
-def dataset_from_doc(doc) -> OfflineDataset:
-    top = _as_dict(doc, "document")
+def parse_dataset(text: str) -> OfflineDataset:
+    top = _as_dict(_load_json(text), "document")
     _check_fields(top, "document", required=("behavior_id", "seed", "n", "trajectories"))
     n = _as_int(top["n"], "n")
     records = _as_list(top["trajectories"], "trajectories")
@@ -340,12 +324,8 @@ def dataset_from_doc(doc) -> OfflineDataset:
         where = f"trajectories[{i}]"
         rec = _as_dict(rec, where)
         _check_fields(rec, where, required=("states", "actions", "rewards"))
-        states = tuple(
-            _as_str(s, f"{where}.states[{j}]") for j, s in enumerate(_as_list(rec["states"], f"{where}.states"))
-        )
-        acts = tuple(
-            _as_str(a, f"{where}.actions[{j}]") for j, a in enumerate(_as_list(rec["actions"], f"{where}.actions"))
-        )
+        states = _strings(rec["states"], f"{where}.states")
+        acts = _strings(rec["actions"], f"{where}.actions")
         rewards = []
         for j, r in enumerate(_as_list(rec["rewards"], f"{where}.rewards")):
             value = rationals.get(r) if isinstance(r, str) else None
@@ -360,11 +340,3 @@ def dataset_from_doc(doc) -> OfflineDataset:
         _as_str(top["behavior_id"], "behavior_id"),
         _as_int(top["seed"], "seed"),
     )
-
-
-def serialize_dataset(dataset: OfflineDataset) -> str:
-    return canonical_json(dataset_to_doc(dataset))
-
-
-def parse_dataset(text: str) -> OfflineDataset:
-    return dataset_from_doc(_load_json(text))

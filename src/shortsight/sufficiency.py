@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParam
+from .evaluate import _kept_steps
 from .mdp import (
     Behaviour,
     Policy,
@@ -162,11 +163,9 @@ def check_objective_consistency(
     the comparison signs coincide, which is checked by grouping on
     truncated values.
     """
-    if last_step < 0:
-        raise ValueError(f"last_step must be >= 0, got {last_step}")
+    keep = _kept_steps(mdp, last_step)
     require_cap(cap)
     pclass = _policy_class(mdp, stationary, cap)
-    keep = min(last_step + 1, mdp.horizon)
     engine = _Engine(mdp)
     # Both values are ints over one denominator per objective, so comparing
     # them compares the returns exactly.

@@ -187,7 +187,7 @@ def oracle_pick(rng, outcomes):
     return outcomes[-1][0]
 
 
-def oracle_sample_dataset(mdp, behavior, n, seed, behavior_id=None):
+def oracle_sample_dataset(mdp, behavior, n, seed):
     """Reference sampler: the same seeding and draw order as `sample_dataset`,
     every draw resolved by `oracle_pick`."""
     initial = tuple((s, p) for s, p in enumerate(mdp.initial) if p > 0)
@@ -206,8 +206,7 @@ def oracle_sample_dataset(mdp, behavior, n, seed, behavior_id=None):
             states.append(mdp.states[s2])
             s = s2
         trajectories.append(Trajectory(tuple(states), tuple(actions), tuple(rewards)))
-    label = behavior_id if behavior_id is not None else behavior.describe(mdp)
-    return OfflineDataset(tuple(trajectories), label, seed)
+    return OfflineDataset(tuple(trajectories), behavior.describe(mdp), seed)
 
 
 def oracle_tally(trajectories, model):

@@ -101,7 +101,7 @@ def test_criterion_4_degeneracy_suite():
     for mdp, model in cases:
         policies = [half_behavior(mdp)]
         if len(mdp.choice_states()) <= 5:
-            policies.extend(ss.enumerate_deterministic_policies(mdp))
+            policies.extend(all_stationary_policies(mdp))
         else:
             policies.extend(
                 ss.make_stationary(mdp, default=a) for a in ("greedy", "patient")
@@ -130,7 +130,7 @@ def test_criterion_5_oracle_equivalence():
             mdp, model, list(all_stationary_policies(mdp))
         )
         h = rng.randint(0, mdp.horizon)
-        for pol in ss.enumerate_deterministic_policies(mdp):
+        for pol in all_stationary_policies(mdp):
             ok &= ss.full_return(mdp, pol) == oracle_full_return(mdp, pol)
             ok &= ss.truncated_return(mdp, pol, h) == oracle_truncated_return(mdp, pol, h)
         behavior = half_behavior(mdp)

@@ -135,6 +135,8 @@ def test_eval_full_and_truncated(tmp_path, prefix_files, capsys):
     report = json.loads(out)
     assert report["truncated_return"] == "0"
     assert report["last_step"] == 3
+    code, out, err = run_cli(capsys, "eval", "--mdp", mdp_path, "--policy", pol_path, "--truncate", "-1")
+    assert (code, out, err) == (2, "", "error: last_step must be >= 0, got -1\n")
 
 
 def test_segdist_lists_normalized_distribution(tmp_path, prefix_files, capsys):
@@ -160,6 +162,8 @@ def test_ordering_greedy(tmp_path, capsys):
     assert report["full_argmax"]["value"] == "0"
     assert report["argmax_intersects"] is False
     assert report["ordering_agrees"] is False
+    code, out, err = run_cli(capsys, "ordering", "--mdp", mdp_path, "--h", "-1")
+    assert (code, out, err) == (2, "", "error: last_step must be >= 0, got -1\n")
 
 
 def test_sample_round_trips(tmp_path, prefix_files, capsys):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import shortsight as ss
-from shortsight.errors import PolicyMismatch
+from shortsight.errors import InvalidParam, PolicyMismatch
 
 from conftest import half_behavior
-from oracle import oracle_full_return, oracle_occupancy, oracle_truncated_return
+from oracle import all_stationary_policies, oracle_full_return, oracle_occupancy, oracle_truncated_return
 from randmdp import random_mdp
 
 
@@ -30,7 +30,7 @@ def test_greedy_returns(greedy310):
 
 def test_truncation_beyond_horizon_is_identity():
     for mdp, _ in (ss.build_prefix(2), ss.build_greedy(2, 5), ss.build_aliasing(2)):
-        for pol in ss.enumerate_deterministic_policies(mdp):
+        for pol in all_stationary_policies(mdp):
             full = ss.full_return(mdp, pol)
             assert ss.truncated_return(mdp, pol, mdp.horizon - 1) == full
             assert ss.truncated_return(mdp, pol, mdp.horizon + 7) == full
@@ -39,8 +39,10 @@ def test_truncation_beyond_horizon_is_identity():
 def test_truncated_rejects_negative_index(prefix3):
     mdp, _ = prefix3
     pol, _ = ss.commit_policies(mdp)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam, match="last_step must be >= 0, got -1"):
         ss.truncated_return(mdp, pol, -1)
+    with pytest.raises(InvalidParam, match="last_step must be >= 0, got -1"):
+        ss.check_objective_consistency(mdp, -1)
 
 
 def test_occupancy_prefix_point_masses(prefix3):
@@ -85,7 +87,7 @@ def test_forward_dp_matches_trajectory_enumeration():
     rng = random.Random(81)
     for _ in range(40):
         mdp = random_mdp(rng)
-        policies = list(ss.enumerate_deterministic_policies(mdp))
+        policies = list(all_stationary_policies(mdp))
         policies.append(half_behavior(mdp))
         for pol in policies:
             assert ss.full_return(mdp, pol) == oracle_full_return(mdp, pol)
@@ -118,7 +120,7 @@ def test_reward_scaling_scales_returns(seed, scale):
         mdp.initial,
         mdp.terminal,
     )
-    pol = next(iter(ss.enumerate_deterministic_policies(mdp)))
+    pol = next(iter(all_stationary_policies(mdp)))
     assert ss.full_return(scaled, pol) == scale * ss.full_return(mdp, pol)
     assert ss.truncated_return(scaled, pol, 1) == scale * ss.truncated_return(mdp, pol, 1)
     # positive scaling leaves the policy argmax sets untouched

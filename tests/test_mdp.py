@@ -5,10 +5,15 @@ import pytest
 
 import shortsight as ss
 import shortsight.mdp
-from shortsight.errors import CapExceeded
 from shortsight.mdp import enumerate_behaviours, policy_at_index
 
+from oracle import all_nonstationary_policies, all_stationary_policies
 from randmdp import dense_mdp, random_mdp
+
+
+def oracle_class(mdp, stationary):
+    enumerate_class = all_stationary_policies if stationary else all_nonstationary_policies
+    return list(enumerate_class(mdp))
 
 
 def two_action_chain():
@@ -85,8 +90,8 @@ def test_validate_is_pure():
 
 def test_enumeration_single_choice_state():
     mdp = two_action_chain()
-    policies = list(ss.enumerate_deterministic_policies(mdp, stationary=True))
-    assert len(policies) == 2
+    assert ss.policy_class_size(mdp, stationary=True) == 2
+    policies = [policy_at_index(mdp, i) for i in range(2)]
     # lexicographic: action 0 ("u") first
     assert policies[0].rows[0][0] == ((0, Fraction(1)),)
     assert policies[1].rows[0][0] == ((1, Fraction(1)),)
@@ -98,42 +103,25 @@ def test_enumeration_count_matches_choice_state_oracle():
     mdp, _ = ss.build_greedy(2, 10)
     choice = [s for s in range(mdp.n_states) if len(mdp.actions[s]) == 2]
     assert len(choice) == 5
-    policies = list(ss.enumerate_deterministic_policies(mdp, stationary=True))
-    assert len(policies) == 32 == 2 ** len(choice)
+    assert ss.policy_class_size(mdp, stationary=True) == 32 == 2 ** len(choice)
 
 
 def test_enumeration_counts_match_closed_form():
     rng = random.Random(5)
     for _ in range(10):
         mdp = random_mdp(rng, max_states=4, max_horizon=2)
-        stat = list(ss.enumerate_deterministic_policies(mdp, stationary=True))
+        stat = oracle_class(mdp, stationary=True)
         assert len(stat) == ss.policy_class_size(mdp, stationary=True)
-        nonstat = list(ss.enumerate_deterministic_policies(mdp, stationary=False))
+        nonstat = oracle_class(mdp, stationary=False)
         assert len(nonstat) == ss.policy_class_size(mdp, stationary=False)
         assert len(nonstat) == len(stat) ** mdp.horizon
 
 
-def test_cap_yields_then_raises():
-    mdp = two_action_chain()
-    gen = ss.enumerate_deterministic_policies(mdp, stationary=True, cap=1)
-    first = next(gen)
-    assert first.kind == "deterministic"
-    with pytest.raises(CapExceeded) as exc:
-        next(gen)
-    assert exc.value.total == 2
-    assert exc.value.cap == 1
-
-
-def test_cap_not_raised_when_class_fits():
-    mdp = two_action_chain()
-    policies = list(ss.enumerate_deterministic_policies(mdp, stationary=True, cap=2))
-    assert len(policies) == 2
-
-
 def test_enumeration_is_reproducible():
     mdp, _ = ss.build_greedy(2, 10)
-    a = list(ss.enumerate_deterministic_policies(mdp, stationary=True))
-    b = list(ss.enumerate_deterministic_policies(mdp, stationary=True))
+    size = ss.policy_class_size(mdp)
+    a = [policy_at_index(mdp, i) for i in range(size)]
+    b = [policy_at_index(mdp, i) for i in range(size)]
     assert a == b
 
 
@@ -142,7 +130,7 @@ def test_policy_at_index_follows_enumeration_order(stationary):
     rng = random.Random(8)
     for _ in range(10):
         mdp = random_mdp(rng, max_states=4, max_horizon=2)
-        policies = list(ss.enumerate_deterministic_policies(mdp, stationary=stationary))
+        policies = oracle_class(mdp, stationary)
         assert [policy_at_index(mdp, i, stationary) for i in range(len(policies))] == policies
         with pytest.raises(IndexError):
             policy_at_index(mdp, len(policies), stationary)
@@ -158,7 +146,7 @@ def test_behaviours_partition_the_class(stationary):
         total = ss.policy_class_size(mdp, stationary)
         if total > 512:
             continue
-        policies = list(ss.enumerate_deterministic_policies(mdp, stationary=stationary))
+        policies = oracle_class(mdp, stationary)
         seen = []
         for behaviour in enumerate_behaviours(mdp, stationary):
             members = list(behaviour.members(total))
@@ -260,3 +248,5 @@ def test_build_mdp_rejects_unknown_labels():
         ss.build_mdp(["a"], {"b": ["x"]}, {}, 1, {"a": 1})
     with pytest.raises(ValueError):
         ss.build_mdp(["a"], {"a": ["x"]}, {("a", "y"): [("a", 1, 0)]}, 1, {"a": 1})
+    with pytest.raises(ValueError, match="'zz'"):
+        ss.build_mdp(["a"], {"a": ["x"]}, {("a", "x"): [("zz", 1, 0)]}, 1, {"a": 1})

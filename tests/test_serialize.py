@@ -172,3 +172,73 @@ def test_dataset_count_mismatch_rejected(prefix3):
     doc["n"] = 3
     with pytest.raises(ParseError):
         parse_dataset(json.dumps(doc))
+
+
+def _doc_cases():
+    """(document kind, edit to a good document, position, message), one per
+    located ParseError site that the tests above do not reach."""
+
+    def at(doc, path):
+        for key in path:
+            doc = doc[key]
+        return doc
+
+    def put(path, value):
+        return lambda doc: at(doc, path[:-1]).__setitem__(path[-1], value)
+
+    def drop(path):
+        return lambda doc: at(doc, path[:-1]).__delitem__(path[-1])
+
+    def append(path, value):
+        return lambda doc: at(doc, path).append(value)
+
+    return [
+        ("mdp", None, "document", "expected an object, got list"),
+        ("mdp", put(["states"], "s0"), "states", "expected an array, got str"),
+        ("mdp", put(["states", 1], 7), "states[1]", "expected a string, got int"),
+        ("mdp", append(["states"], "s0"), "states", "duplicate state labels"),
+        ("mdp", put(["actions", "ghost"], ["go"]), "actions", "unknown state 'ghost'"),
+        ("mdp", put(["actions", "s0"], "L"), "actions[s0]", "expected an array, got str"),
+        ("mdp", put(["actions", "s0", 1], 3), "actions[s0][1]", "expected a string, got int"),
+        ("mdp", put(["transitions", 0], 5), "transitions[0]", "expected an object, got int"),
+        ("mdp", drop(["transitions", 0, "prob"]), "transitions[0]", "missing required field(s): prob"),
+        ("mdp", put(["transitions", 0, "state"], "ghost"), "transitions[0].state", "unknown state 'ghost'"),
+        ("mdp", put(["transitions", 0, "next"], "ghost"), "transitions[0].next", "unknown state 'ghost'"),
+        ("mdp", put(["transitions", 0, "action"], "X"), "transitions[0].action", "state 's0' has no action 'X'"),
+        ("mdp", put(["horizon"], "3"), "horizon", "expected an integer, got '3'"),
+        ("mdp", put(["horizon"], True), "horizon", "expected an integer, got True"),
+        ("mdp", append(["terminal"], "ghost"), "terminal[2]", "unknown state 'ghost'"),
+        ("model", put(["observe_actions"], 1), "observe_actions", "expected a boolean, got 1"),
+        ("model", put(["window_starts", 0], "1"), "window_starts[0]", "expected an integer, got '1'"),
+        ("model", put(["phi", "s0"], 0), "phi[s0]", "expected a string, got int"),
+        ("policy", put(["stationary"], False), "rows", "expected 3 rows, got 1"),
+        ("policy", put(["stationary"], "yes"), "stationary", "expected a boolean, got 'yes'"),
+        ("policy", put(["rows", 0, "ghost"], {"L": "1"}), "rows[0]", "unknown state 'ghost'"),
+        ("policy", put(["rows", 0, "s0"], {"X": "1"}), "rows[0][s0]", "state 's0' has no action 'X'"),
+        ("dataset", put(["behavior_id"], 5), "behavior_id", "expected a string, got int"),
+        ("dataset", put(["trajectories", 0, "states", 1], 3), "trajectories[0].states[1]", "expected a string, got int"),
+        ("dataset", put(["trajectories", 0, "actions"], "L"), "trajectories[0].actions", "expected an array, got str"),
+        ("dataset", put(["trajectories", 0, "actions", 2], None), "trajectories[0].actions[2]", "expected a string, got NoneType"),
+        ("dataset", drop(["trajectories", 0, "states", 3]), "trajectories[0]", "states/actions/rewards lengths are inconsistent"),
+    ]
+
+
+@pytest.mark.parametrize("kind, edit, position, message", _doc_cases())
+def test_parse_errors_are_located(kind, edit, position, message):
+    mdp, model = ss.build_prefix(1)
+    policy = ss.commit_policies(mdp)[0]
+    good, parse = {
+        "mdp": (serialize_mdp(mdp), parse_mdp),
+        "model": (serialize_model(model), parse_model),
+        "policy": (serialize_policy(policy, mdp), lambda text: parse_policy(text, mdp)),
+        "dataset": (serialize_dataset(ss.sample_dataset(mdp, policy, 1, 0)), parse_dataset),
+    }[kind]
+    doc = json.loads(good)
+    if edit is None:
+        doc = []
+    else:
+        edit(doc)
+    with pytest.raises(ParseError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.position == position
+    assert str(exc.value) == f"{position}: {message}"
