@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .counterexamples import CounterexampleSpec, build_counterexample, verify_proposition
+from .counterexamples import FAMILIES, CounterexampleSpec, build_counterexample, verify_proposition
 from .errors import InvalidParam, ShortsightError
 from .evaluate import full_return, truncated_return
 from .observation import segment_distribution
@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="generate a counterexample MDP and observation model")
-    p.add_argument("family", choices=("prefix", "greedy", "aliasing"))
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("--H", type=int, required=True, help="window length")
     p.add_argument("--M", type=_rational_arg, default=None, help="greedy-family penalty (requires M > H+1)")
     p.add_argument("-o", "--output", required=True, help="output path prefix")

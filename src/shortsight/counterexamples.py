@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import InvalidParam
 from .evaluate import full_return, truncated_return
-from .mdp import Policy, TabularMDP, build_mdp, make_stationary, rational
+from .mdp import Policy, TabularMDP, _integer, build_mdp, make_stationary, rational
 from .observation import ObservationModel, all_window_starts, distributions_equal, identity_phi, segment_distribution
 from .sufficiency import (
     DEFAULT_CAP,
@@ -168,7 +168,7 @@ def greedy_policies(mdp: TabularMDP) -> tuple[Policy, Policy]:
 
 
 def _positive(window_length: int) -> int:
-    h = int(window_length)
+    h = _integer(window_length, "window_length")
     if h < 1:
         raise InvalidParam(f"window_length must be >= 1, got {window_length}")
     return h
@@ -229,24 +229,30 @@ def verify_proposition(
     penalty=None,
     cap: int = DEFAULT_CAP,
 ) -> PropositionReport:
-    """Re-derive one proposition's exact claims and report each check."""
+    """Re-derive one proposition's exact claims and report each check.
+
+    Proposition p is about family FAMILIES[p - 1], and its arguments pass
+    the same checks as a `CounterexampleSpec` of that family.
+    """
     require_cap(cap)
-    if proposition in (1, 3):
-        return _verify_commit(proposition, window_length, cap)
+    if proposition not in (1, 2, 3):
+        raise InvalidParam(f"proposition must be 1, 2 or 3, got {proposition}")
+    spec = CounterexampleSpec(FAMILIES[proposition - 1], window_length, penalty)
     if proposition == 2:
-        return _verify_greedy(window_length, penalty, cap)
-    raise InvalidParam(f"proposition must be 1, 2 or 3, got {proposition}")
+        return _verify_greedy(spec, cap)
+    return _verify_commit(proposition, spec, cap)
 
 
-def _verify_commit(proposition: int, h: int, cap: int) -> PropositionReport:
+def _verify_commit(proposition: int, spec: CounterexampleSpec, cap: int) -> PropositionReport:
     """Propositions 1 (prefix) and 3 (aliasing): the L and R policies look
     alike in every window but earn 1 and 0, and a control model tells them apart."""
+    mdp, model = build_counterexample(spec)
     if proposition == 1:
-        family, (mdp, model), noun, view = "prefix", build_prefix(h), "commit", "the L and R commitments"
+        noun, view = "commit", "the L and R commitments"
         remedy = "a window covering the initial action"
         control = replace(model, window_starts=tuple(sorted({0, *model.window_starts})))
     else:
-        family, (mdp, model), noun, view = "aliasing", build_aliasing(h), "branch", "the aliased feature map"
+        noun, view = "branch", "the aliased feature map"
         remedy = "the identity feature map"
         control = replace(model, phi=tuple(sorted(identity_phi(mdp).items())))
     pol_l, pol_r = commit_policies(mdp)
@@ -273,14 +279,12 @@ def _verify_commit(proposition: int, h: int, cap: int) -> PropositionReport:
             "sufficient", "not sufficient", True, control_verdict.sufficient,
         ), control_verdict.policy_class),
     ]
-    return PropositionReport(proposition, family, h, None, tuple(checks))
+    return PropositionReport(proposition, spec.family, spec.window_length, None, tuple(checks))
 
 
-def _verify_greedy(h: int, penalty, cap: int) -> PropositionReport:
-    if penalty is None:
-        raise InvalidParam("proposition 2 requires a penalty M")
-    m = rational(penalty)
-    mdp, _ = build_greedy(h, m)
+def _verify_greedy(spec: CounterexampleSpec, cap: int) -> PropositionReport:
+    h, m = spec.window_length, spec.penalty
+    mdp, _ = build_counterexample(spec)
     all_greedy, all_patient = greedy_policies(mdp)
     ret_greedy = full_return(mdp, all_greedy)
     ret_patient = full_return(mdp, all_patient)

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from .errors import InvalidParam
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -29,6 +31,14 @@ def rational(value) -> Fraction:
     if isinstance(value, (float, bool)):
         raise TypeError(f"exact rational required, got {value!r}")
     return Fraction(value)
+
+
+def _integer(value, name: str) -> int:
+    """The one rule for an integer parameter: an int that is not a bool.
+    `name` locates the value."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParam(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,7 @@ def build_mdp(
         trans_rows.append(tuple(per_action))
 
     init = tuple(rational(initial.get(s, 0)) for s in labels)
-    return TabularMDP(labels, tuple(act_rows), tuple(trans_rows), int(horizon), init, term)
+    return TabularMDP(labels, tuple(act_rows), tuple(trans_rows), _integer(horizon, "horizon"), init, term)
 
 
 def validate_mdp(mdp: TabularMDP) -> list[str]:
@@ -334,6 +344,8 @@ def validate_policy(mdp: TabularMDP, policy: Policy) -> list[str]:
     if len(policy.rows) != policy.horizon:
         add(f"policy has {len(policy.rows)} rows for horizon {policy.horizon}")
         return problems
+    if policy.stationary and any(row is not policy.rows[0] and row != policy.rows[0] for row in policy.rows):
+        add("stationary policy has rows that differ; its one row is read at every step")
 
     checked = set()
     for t, row in enumerate(policy.rows):
@@ -408,18 +420,6 @@ def policy_cells(mdp: TabularMDP, stationary: bool = True) -> tuple[PolicyCell, 
     return tuple((t, s) for t in steps for s in nonterm)
 
 
-def _policy_from_digits(
-    mdp: TabularMDP, cells: Sequence[PolicyCell], digits: Sequence[int], stationary: bool
-) -> Policy:
-    if stationary:
-        row = {s: ((a, ONE),) for (_, s), a in zip(cells, digits)}
-        return Policy("deterministic", mdp.horizon, (row,) * mdp.horizon, True)
-    rows: list[dict[int, Cell]] = [{} for _ in range(mdp.horizon)]
-    for (t, s), a in zip(cells, digits):
-        rows[t][s] = ((a, ONE),)
-    return Policy("deterministic", mdp.horizon, tuple(rows), False)
-
-
 def policy_at_index(mdp: TabularMDP, index: int, stationary: bool = True) -> Policy:
     """The deterministic policy with the given index in `policy_cells` order."""
     cells = policy_cells(mdp, stationary)
@@ -431,22 +431,28 @@ def policy_at_index(mdp: TabularMDP, index: int, stationary: bool = True) -> Pol
     for k in reversed(radices):
         index, a = divmod(index, k)
         digits.append(a)
-    return _policy_from_digits(mdp, cells, digits[::-1], stationary)
+    digits.reverse()
+    if stationary:
+        row = {s: ((a, ONE),) for (_, s), a in zip(cells, digits)}
+        return Policy("deterministic", mdp.horizon, (row,) * mdp.horizon, True)
+    rows: list[dict[int, Cell]] = [{} for _ in range(mdp.horizon)]
+    for (t, s), a in zip(cells, digits):
+        rows[t][s] = ((a, ONE),)
+    return Policy("deterministic", mdp.horizon, tuple(rows), False)
 
 
 class Behaviour(NamedTuple):
     """The deterministic policies that agree on every cell the process reaches.
 
     Members have the same occupancy, step rewards and segment distributions,
-    so evaluating `policy`, the member with the smallest index `first`, once
-    stands for all of them. The others add, at each free (never reached)
+    so one leaf of the engine's walk stands for all of them. `first` is the
+    smallest member index; the others add, at each free (never reached)
     cell, an action id times the cell's place value: `free` holds (number of
     actions, place value) per free cell with a choice, most significant first.
     """
 
     first: int
     free: tuple[tuple[int, int], ...]
-    policy: Policy
 
     def members(self, below: int) -> Iterator[int]:
         """Member indices less than `below`, ascending."""
@@ -457,58 +463,6 @@ class Behaviour(NamedTuple):
             if index >= below:
                 return
             yield index
-
-
-def enumerate_behaviours(
-    mdp: TabularMDP, stationary: bool = True, cap: int | None = None
-) -> Iterator[Behaviour]:
-    """Yield each behaviour of the deterministic class once.
-
-    A depth-first search runs forward in time over the support of the state
-    distribution and branches only at reached cells still undecided: per
-    state for the stationary class, per (t, state) for the nonstationary
-    one. The behaviours partition the class, with member indices in
-    `policy_cells` order, as `policy_at_index` numbers it.
-    With a `cap`, only behaviours whose first member is below it are
-    walked, so at most `cap` behaviours are built.
-    """
-    cells = policy_cells(mdp, stationary)
-    radices = [len(mdp.actions[s]) for _, s in cells]
-    places = [prod(radices[k + 1 :]) for k in range(len(cells))]
-    position = {cell: k for k, cell in enumerate(cells)}
-    succ = [[{s2 for s2, p, _ in outs if p != 0} for outs in row] for row in mdp.transitions]
-    digits: list[int | None] = [None] * len(cells)
-
-    def walk(t: int, support: list[int], first: int) -> Iterator[Behaviour]:
-        if t == mdp.horizon:
-            free = tuple(
-                (radices[k], places[k])
-                for k in range(len(cells))
-                if digits[k] is None and radices[k] > 1
-            )
-            policy = _policy_from_digits(mdp, cells, [d or 0 for d in digits], stationary)
-            yield Behaviour(first, free, policy)
-            return
-        # Terminal states have no cell; their forced action is 0.
-        here = [(s, position.get((0 if stationary else t, s))) for s in support]
-        pending = [k for _, k in here if k is not None and digits[k] is None]
-        # `pending` is in significance order, so the combinations come out
-        # with ascending first members and the first one past the cap ends
-        # the loop: digits decided later only add to `first`.
-        for combo in itertools.product(*(range(radices[k]) for k in pending)):
-            lower = first + sum(a * places[k] for k, a in zip(pending, combo))
-            if cap is not None and lower >= cap:
-                break
-            for k, a in zip(pending, combo):
-                digits[k] = a
-            nxt: set[int] = set()
-            for s, k in here:
-                nxt |= succ[s][0 if k is None else digits[k]]
-            yield from walk(t + 1, sorted(nxt), lower)
-        for k in pending:
-            digits[k] = None
-
-    yield from walk(0, [s for s, p in enumerate(mdp.initial) if p != 0], 0)
 
 
 def policy_class_size(mdp: TabularMDP, stationary: bool = True) -> int:

@@ -7,7 +7,10 @@ computes the exact probability mass over observable segments for a policy,
 one normalized distribution per window start, with no sampling involved.
 
 One private integer engine, compiled per (MDP, model), does that work and
-the forward pass behind `evaluate`. It interns features, action labels (by
+the forward pass behind `evaluate` and the checkers. Its one forward DP is a
+depth-first walk over a policy class that advances the occupancy one step
+per node and yields one leaf per behaviour; a single policy is a class of
+one, walked to its one leaf. The engine interns features, action labels (by
 label, so one label at two states is one id) and reward values as small
 ints, and a segment is an id in a trie over per-step symbols, so the DPs
 key on ints. Mass at time t is an int over D0 * (D * Dpi)**t, where D0, D
@@ -21,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import mul
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
-from .errors import InvalidTrajectory, ModelMismatch, PolicyMismatch
-from .mdp import Policy, TabularMDP, Trajectory, validate_policy
+from .errors import InvalidParam, InvalidTrajectory, ModelMismatch, PolicyMismatch
+from .mdp import Behaviour, Policy, TabularMDP, Trajectory, _integer, policy_cells, validate_mdp, validate_policy
 
 
 @dataclass(frozen=True)
@@ -46,12 +50,15 @@ class ObservationModel:
         observe_actions: bool = True,
         observe_rewards: bool = True,
     ) -> "ObservationModel":
+        for name, flag in (("observe_actions", observe_actions), ("observe_rewards", observe_rewards)):
+            if not isinstance(flag, bool):
+                raise InvalidParam(f"{name} must be a bool, got {flag!r}")
         return cls(
-            window_length=int(window_length),
-            window_starts=tuple(sorted(set(int(t) for t in window_starts))),
+            window_length=_integer(window_length, "window_length"),
+            window_starts=tuple(sorted({_integer(t, "window_starts") for t in window_starts})),
             phi=tuple(sorted((str(s), str(f)) for s, f in phi.items())),
-            observe_actions=bool(observe_actions),
-            observe_rewards=bool(observe_rewards),
+            observe_actions=observe_actions,
+            observe_rewards=observe_rewards,
         )
 
     @property
@@ -94,6 +101,12 @@ def validate_model(mdp: TabularMDP, model: ObservationModel) -> list[str]:
     if extra:
         problems.append(f"phi maps unknown states: {', '.join(extra)}")
     return problems
+
+
+def _require_mdp(mdp: TabularMDP) -> None:
+    problems = validate_mdp(mdp)
+    if problems:
+        raise InvalidParam("; ".join(problems))
 
 
 def _require_model(mdp: TabularMDP, model: ObservationModel) -> None:
@@ -233,44 +246,98 @@ class _Engine:
         self.kids: dict[int, int] = {}
         self.parent, self.sym = [0], [0]
 
-    def evaluate(self, policy: Policy):
-        """One forward pass, then one window DP per start from its occupancy.
+    def walk(self, stationary: bool, options: Sequence[Sequence], cap: int | None = None) -> Iterator[tuple]:
+        """Depth-first over a policy class: one `_leaf` per behaviour, by
+        ascending first member in `policy_at_index` order, and with a `cap`
+        only those whose first member is below it.
 
-        Returns (occupancy, rewards, tables): occupancy[t] maps state ids to
-        masses over d0 * step**t; rewards[t], the expected reward of step t,
-        is over r_den * d0 * step**(t+1); tables holds, per window start
-        ascending, the (segment id, mass over d0 * step**(start + H)) pairs
-        by id. The policy is trusted: callers check it first.
+        Cell k of `policy_cells(mdp, stationary)` takes one of `options[k]`:
+        every point mass for the deterministic class, one cell for a single
+        policy. Each node advances the occupancy one step and branches only
+        at reached cells still undecided, the occupancy's keys. The walk
+        keeps its own stack, so the horizon does not bound the call depth.
         """
-        mdp, outs, point, den_pi = self.mdp, self.outs, self.point, self.den_pi
-        dist = self.init
-        dists, rewards, cells = [dist], [], []
-        for t in range(mdp.horizon):
-            row, here, acc, nxt = policy.rows[t], {}, [0] * self.nr, {}
-            for s, m in dist.items():
-                if s in mdp.terminal:
-                    cell = point[s][0]
-                else:
-                    entries = row[s]
-                    if len(entries) == 1:  # a point mass, as its sum is 1
-                        cell = point[s][entries[0][0]]
-                    else:
-                        cell = tuple((q.numerator * (den_pi // q.denominator), outs[s][a]) for a, q in entries)
-                here[s] = cell
+        mdp, point, nr, r_num = self.mdp, self.point, self.nr, self.r_num
+        cells = policy_cells(mdp, stationary)
+        radices = [len(o) for o in options]
+        places = [1] * len(cells)
+        for k in range(len(cells) - 1, 0, -1):
+            places[k - 1] = places[k] * radices[k]
+        position = {cell: k for k, cell in enumerate(cells)}
+        digits: list[int | None] = [None] * len(cells)
+        # One frame per open node: (here, pending, combos, first); a frame's
+        # step, once taken, is the last of dists, rewards and steps.
+        dists, rewards, steps, frames, first = [self.init], [], [], [], 0
+        while True:
+            t = len(frames)
+            if t == mdp.horizon:
+                free = tuple((radices[k], places[k]) for k, d in enumerate(digits) if d is None and radices[k] > 1)
+                yield self._leaf(Behaviour(first, free), dists, rewards, steps)
+            else:
+                # Terminal states have no cell; their forced action is 0.
+                here = [(s, position.get((0 if stationary else t, s))) for s in sorted(dists[-1])]
+                pending = [k for _, k in here if k is not None and digits[k] is None]
+                # `pending` is in significance order, so the combinations come
+                # out with ascending first members and the first one past the
+                # cap closes the node: digits decided later only add to `first`.
+                frames.append((here, pending, product(*(range(radices[k]) for k in pending)), first))
+            while frames:
+                here, pending, combos, base = frames[-1]
+                if len(dists) > len(frames):
+                    del dists[-1], rewards[-1], steps[-1]
+                combo = next(combos, None)
+                if combo is not None:
+                    first = base + sum(a * places[k] for k, a in zip(pending, combo))
+                    if cap is None or first < cap:
+                        break
+                for k in pending:
+                    digits[k] = None
+                frames.pop()
+            else:
+                return
+            for k, a in zip(pending, combo):
+                digits[k] = a
+            step = {s: point[s][0] if k is None else options[k][digits[k]] for s, k in here}
+            dist, acc, nxt = dists[-1], [0] * nr, {}
+            for s, cell in step.items():
+                m = dist[s]
                 for q, o in cell:
                     mq = m * q
                     for s2, p, r, _ in o:
                         w = mq * p
                         acc[r] += w
                         nxt[s2] = nxt.get(s2, 0) + w
-            cells.append(here)
-            rewards.append(sum(map(mul, self.r_num, acc)))
             dists.append(nxt)
-            dist = nxt
-        return dists, rewards, self._windows(dists, cells) if self.model else ()
+            rewards.append(sum(map(mul, r_num, acc)))
+            steps.append(step)
+
+    def _leaf(self, behaviour: Behaviour, dists, rewards, steps) -> tuple:
+        """The walk's per-leaf step: (behaviour, occupancy, rewards, tables).
+
+        occupancy[t] maps state ids to masses over d0 * step**t; rewards[t],
+        the expected reward of step t, is over r_den * d0 * step**(t+1);
+        tables holds, per window start ascending, the (segment id, mass over
+        d0 * step**(start + H)) pairs by id, one window DP each.
+        """
+        return behaviour, tuple(dists), tuple(rewards), self._windows(dists, steps) if self.model else ()
+
+    def evaluate(self, policy: Policy) -> tuple:
+        """(occupancy, rewards, tables) of the one leaf of the class of
+        `policy` alone. The policy is trusted: callers check it first."""
+        rows, point, outs, den_pi = policy.rows, self.point, self.outs, self.den_pi
+
+        def cell(s, entries):
+            if len(entries) == 1:  # a point mass, as its sum is 1
+                return point[s][entries[0][0]]
+            return tuple((q.numerator * (den_pi // q.denominator), outs[s][a]) for a, q in entries)
+
+        # Cells the policy leaves undefined are never reached: it was checked.
+        options = [[cell(s, rows[t][s])] if s in rows[t] else [] for t, s in policy_cells(self.mdp, policy.stationary)]
+        (leaf,) = self.walk(policy.stationary, options)
+        return leaf[1:]
 
     def total(self, rewards) -> int:
-        """The sum of `rewards` from `evaluate`, over den(len(rewards))."""
+        """The sum of a leaf's `rewards`, over den(len(rewards))."""
         total = 0
         for r in rewards:
             total = total * self.step + r

@@ -14,8 +14,8 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
-from .mdp import Policy, TabularMDP, Trajectory, build_mdp, validate_mdp, validate_policy
+from .errors import InvalidParam, ParseError, ValidationError
+from .mdp import Policy, TabularMDP, Trajectory, _integer, build_mdp, validate_mdp, validate_policy
 from .observation import ObservationModel
 from .offline import OfflineDataset
 
@@ -69,9 +69,10 @@ def _as_str(obj, where):
 
 
 def _as_int(obj, where):
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ParseError(f"expected an integer, got {obj!r}", where)
-    return obj
+    try:
+        return _integer(obj, where)
+    except InvalidParam:
+        raise ParseError(f"expected an integer, got {obj!r}", where) from None
 
 
 def _as_bool(obj, where):

@@ -8,8 +8,9 @@ The consistency report compares the policy ordering under a truncated return
 against the full-horizon ordering.
 
 Both checkers evaluate behaviours, not policies: policies that agree on every
-(t, state) cell the process reaches are evaluated once, and every reported
-index, count and witness is still over policies in lexicographic order.
+(t, state) cell the process reaches share one leaf of the engine's walk,
+which advances the occupancy once per node, and every reported index, count
+and witness is still over policies in lexicographic order.
 """
 
 from __future__ import annotations
@@ -19,15 +20,8 @@ from fractions import Fraction
 
 from .errors import InvalidParam
 from .evaluate import _kept_steps
-from .mdp import (
-    Behaviour,
-    Policy,
-    TabularMDP,
-    enumerate_behaviours,
-    policy_at_index,
-    policy_class_size,
-)
-from .observation import ObservationModel, _Engine, _require_model
+from .mdp import Behaviour, Policy, TabularMDP, policy_at_index, policy_cells, policy_class_size
+from .observation import ObservationModel, _Engine, _require_mdp, _require_model
 
 DEFAULT_CAP = 10**6
 
@@ -100,6 +94,12 @@ def _policy_class(mdp: TabularMDP, stationary: bool, cap: int) -> PolicyClass:
     return PolicyClass(kind, min(total, cap), total, total > cap)
 
 
+def _walk_class(engine: _Engine, stationary: bool, cap: int | None):
+    """The engine's walk over the deterministic class: every point mass at every cell."""
+    cells = policy_cells(engine.mdp, stationary)
+    return engine.walk(stationary, [engine.point[s] for _, s in cells], cap)
+
+
 def check_sufficiency(
     mdp: TabularMDP,
     model: ObservationModel,
@@ -110,23 +110,22 @@ def check_sufficiency(
 
     The class is the first `cap` deterministic policies in lexicographic
     order. Policies that agree on every cell the process reaches share one
-    behaviour, and each reached behaviour is evaluated once, through its
-    smallest-index member, by one pass of the integer engine. Behaviours
-    are bucketed by its per-start tables of segment ids and masses, which
+    behaviour, one leaf of the integer engine's walk. Behaviours are
+    bucketed by their per-start tables of segment ids and masses, which
     are equal iff their SegmentDistributions are; the interface is
     sufficient iff every bucket carries a single return value. Otherwise
     the witness is, as over the policies themselves, the first violating
     pair (i, j) in enumeration order: i the smallest index in its bucket, j
     the smallest index there whose return differs.
     """
+    _require_mdp(mdp)
     _require_model(mdp, model)
     require_cap(cap)
     pclass = _policy_class(mdp, stationary, cap)
     engine = _Engine(mdp, model)
     buckets: dict[tuple, list[tuple[int, int]]] = {}
-    for i, _, policy in enumerate_behaviours(mdp, stationary, cap):
-        _, rewards, tables = engine.evaluate(policy)
-        buckets.setdefault(tables, []).append((i, engine.total(rewards)))
+    for behaviour, _, rewards, tables in _walk_class(engine, stationary, cap):
+        buckets.setdefault(tables, []).append((behaviour.first, engine.total(rewards)))
 
     best = None
     for members in buckets.values():
@@ -157,12 +156,13 @@ def check_objective_consistency(
     """Compare truncated-return and full-return orderings over the class.
 
     The class is the first `cap` deterministic policies in lexicographic
-    order. Each reached behaviour is evaluated once, and both objectives
-    come from its one forward pass; every member shares them. Argmax sets
+    order. Both objectives come from each reached behaviour's leaf of the
+    engine's walk; every member shares them. Argmax sets
     list policy indices, ascending. The orderings agree iff for every pair
     the comparison signs coincide, which is checked by grouping on
     truncated values.
     """
+    _require_mdp(mdp)
     keep = _kept_steps(mdp, last_step)
     require_cap(cap)
     pclass = _policy_class(mdp, stationary, cap)
@@ -170,8 +170,7 @@ def check_objective_consistency(
     # Both values are ints over one denominator per objective, so comparing
     # them compares the returns exactly.
     evaluated: list[tuple[int, int, Behaviour]] = []
-    for behaviour in enumerate_behaviours(mdp, stationary, cap):
-        _, rewards, _ = engine.evaluate(behaviour.policy)
+    for behaviour, _, rewards, _ in _walk_class(engine, stationary, cap):
         evaluated.append((engine.total(rewards[:keep]), engine.total(rewards), behaviour))
 
     best_t = max(trunc for trunc, _, _ in evaluated)

@@ -93,6 +93,14 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("prop, family", [("1", "prefix"), ("3", "aliasing")])
+def test_verify_rejects_a_penalty_its_family_does_not_take(capsys, prop, family):
+    # The same rule as `gen`: only the greedy family takes M.
+    code, out, err = run_cli(capsys, "verify", "--prop", prop, "--H", "2", "--M", "5")
+    assert code == 2 and out == ""
+    assert f"family '{family}' takes no penalty" in err
+
+
 def test_check_prefix_not_sufficient(prefix_files, capsys):
     mdp_path, obs_path = prefix_files
     code, out, _ = run_cli(capsys, "check", "--mdp", mdp_path, "--obs", obs_path)

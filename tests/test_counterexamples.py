@@ -32,6 +32,14 @@ def test_spec_rejects_bad_params():
         ss.build_aliasing(-1)
 
 
+@pytest.mark.parametrize("window_length", [2.5, True, "2"])
+def test_builders_reject_a_non_integer_window_length(window_length):
+    with pytest.raises(InvalidParam, match="window_length must be an integer"):
+        ss.build_prefix(window_length)
+    with pytest.raises(InvalidParam, match="window_length must be an integer"):
+        ss.CounterexampleSpec("greedy", window_length, Fraction(10))
+
+
 def test_build_counterexample_dispatch():
     mdp, model = ss.build_counterexample(ss.CounterexampleSpec("greedy", 2, Fraction(4)))
     assert "trap" in mdp.states

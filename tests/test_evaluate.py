@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -172,3 +173,18 @@ def test_public_entry_points_check_the_policy_once(prefix3):
     for call in calls:
         with pytest.raises(PolicyMismatch, match="does not sum to 1"):
             call(mdp, bad)
+
+
+def test_a_horizon_past_the_recursion_limit_evaluates():
+    # The engine's walk keeps its own stack: a one-state chain longer than
+    # the interpreter's recursion limit still evaluates, one step per time.
+    horizon = sys.getrecursionlimit() + 500
+    mdp = ss.build_mdp(["a"], {"a": ["x"]}, {("a", "x"): [("a", 1, 1)]}, horizon, {"a": 1}, [])
+    pol = ss.make_stationary(mdp, {"a": "x"})
+    assert ss.full_return(mdp, pol) == horizon
+    assert ss.truncated_return(mdp, pol, 9) == 10
+    occ = ss.occupancy(mdp, pol)
+    assert len(occ.rows) == horizon + 1 and all(row == (1,) for row in occ.rows)
+    model = ss.ObservationModel.make(1, [0, horizon - 1], {"a": "f"})
+    dist = ss.segment_distribution(mdp, pol, model)
+    assert [len(dist.table(t)) for t in dist.starts] == [1, 1]

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 import shortsight as ss
-import shortsight.mdp
-from shortsight.mdp import enumerate_behaviours, policy_at_index
+from shortsight.mdp import policy_at_index
+from shortsight.observation import _Engine
+from shortsight.sufficiency import _walk_class
 
-from oracle import all_nonstationary_policies, all_stationary_policies
+from oracle import all_nonstationary_policies, all_stationary_policies, oracle_occupancy
 from randmdp import dense_mdp, random_mdp
 
 
@@ -138,8 +139,8 @@ def test_policy_at_index_follows_enumeration_order(stationary):
 
 @pytest.mark.parametrize("stationary", [True, False])
 def test_behaviours_partition_the_class(stationary):
-    # Every policy belongs to exactly one behaviour, and all members of a
-    # behaviour move through the MDP identically.
+    # Every policy belongs to exactly one behaviour, and every member of a
+    # behaviour has the occupancy the walk carried to its leaf.
     rng = random.Random(13)
     for _ in range(15):
         mdp = random_mdp(rng, max_states=4, max_horizon=3)
@@ -147,14 +148,17 @@ def test_behaviours_partition_the_class(stationary):
         if total > 512:
             continue
         policies = oracle_class(mdp, stationary)
+        engine = _Engine(mdp)
         seen = []
-        for behaviour in enumerate_behaviours(mdp, stationary):
+        for behaviour, dists, _, _ in _walk_class(engine, stationary, None):
             members = list(behaviour.members(total))
             assert members[0] == behaviour.first
-            assert behaviour.policy == policies[behaviour.first]
             assert list(behaviour.members(members[-1])) == members[:-1]
-            table = ss.occupancy(mdp, policies[behaviour.first])
-            assert all(ss.occupancy(mdp, policies[i]) == table for i in members)
+            carried = [
+                tuple(Fraction(d.get(s, 0), engine.d0 * engine.step**t) for s in range(mdp.n_states))
+                for t, d in enumerate(dists)
+            ]
+            assert all(oracle_occupancy(mdp, policies[i]) == carried for i in members)
             seen.extend(members)
         assert sorted(seen) == list(range(total))
 
@@ -167,10 +171,10 @@ def test_capped_behaviours_are_those_first_below_the_cap(stationary):
         total = ss.policy_class_size(mdp, stationary)
         if total > 512:
             continue
-        every = list(enumerate_behaviours(mdp, stationary))
+        every = list(_walk_class(_Engine(mdp), stationary, None))
         for cap in {1, max(1, total // 3), total - 1 or 1, total, total + 5}:
-            below = [b for b in every if b.first < cap]
-            assert list(enumerate_behaviours(mdp, stationary, cap)) == below
+            below = [leaf for leaf in every if leaf[0].first < cap]
+            assert list(_walk_class(_Engine(mdp), stationary, cap)) == below
 
 
 def test_cap_bounds_the_walk_of_a_huge_class(monkeypatch):
@@ -178,17 +182,17 @@ def test_cap_bounds_the_walk_of_a_huge_class(monkeypatch):
     # stop at the cap instead of visiting the whole class.
     mdp = dense_mdp(7, 6)
     assert ss.policy_class_size(mdp, stationary=False) == 2**42
-    built = []
-    inner = shortsight.mdp._policy_from_digits
+    leaves = []
+    inner = _Engine._leaf
 
     def counted(*args):
-        built.append(1)
+        leaves.append(1)
         return inner(*args)
 
-    monkeypatch.setattr(shortsight.mdp, "_policy_from_digits", counted)
-    firsts = [b.first for b in enumerate_behaviours(mdp, stationary=False, cap=1000)]
+    monkeypatch.setattr(_Engine, "_leaf", counted)
+    firsts = [leaf[0].first for leaf in _walk_class(_Engine(mdp), False, 1000)]
     assert firsts == list(range(1000))
-    assert len(built) == 1000
+    assert len(leaves) == 1000
 
 
 def test_make_stationary_fills_forced_states():
@@ -228,6 +232,20 @@ def test_validate_policy_rejects_bad_sum_and_horizon():
     assert any("horizon" in p for p in ss.validate_policy(mdp, wrong_horizon))
 
 
+def test_validate_policy_rejects_a_stationary_policy_with_differing_rows():
+    # The engine reads only rows[0] of a stationary policy, so a hand-built
+    # one whose rows differ must not pass as valid.
+    mdp = two_action_chain()
+    up, down = {0: ((0, Fraction(1)),)}, {0: ((1, Fraction(1)),)}
+    mixed = ss.Policy("deterministic", 2, (up, down), True)
+    assert any("stationary" in p for p in ss.validate_policy(mdp, mixed))
+    with pytest.raises(ss.PolicyMismatch, match="stationary"):
+        ss.full_return(mdp, mixed)
+    equal_copies = ss.Policy("deterministic", 2, (up, dict(up)), True)
+    assert ss.validate_policy(mdp, equal_copies) == []
+    assert ss.validate_policy(mdp, ss.Policy("deterministic", 2, (up, down), False)) == []
+
+
 def test_validate_policy_flags_terminal_cells():
     mdp = two_action_chain()
     pol = ss.Policy(
@@ -250,3 +268,9 @@ def test_build_mdp_rejects_unknown_labels():
         ss.build_mdp(["a"], {"a": ["x"]}, {("a", "y"): [("a", 1, 0)]}, 1, {"a": 1})
     with pytest.raises(ValueError, match="'zz'"):
         ss.build_mdp(["a"], {"a": ["x"]}, {("a", "x"): [("zz", 1, 0)]}, 1, {"a": 1})
+
+
+@pytest.mark.parametrize("horizon", [2.5, "2", True])
+def test_build_mdp_rejects_a_non_integer_horizon(horizon):
+    with pytest.raises(ss.InvalidParam, match="horizon"):
+        ss.build_mdp(["a", "b"], {"a": ["x"]}, {("a", "x"): [("b", 1, 0)]}, horizon, {"a": 1}, ["b"])

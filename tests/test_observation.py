@@ -280,3 +280,25 @@ def test_model_validation_rejects_bad_starts_and_partial_phi(prefix3):
     with pytest.raises(ModelMismatch):
         ss.segment_distribution(mdp, pol_l, partial)
     assert ss.validate_model(mdp, model) == []
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((2.7, [0], {"a": "b"}), "window_length"),
+        ((True, [0], {"a": "b"}), "window_length"),
+        ((2, [0.9], {"a": "b"}), "window_starts"),
+        ((2, [False], {"a": "b"}), "window_starts"),
+        ((2, [0], {"a": "b"}, "false"), "observe_actions"),
+        ((2, [0], {"a": "b"}, True, 0), "observe_rewards"),
+    ],
+)
+def test_model_make_checks_instead_of_coercing(args, field):
+    with pytest.raises(ss.InvalidParam, match=field):
+        ss.ObservationModel.make(*args)
+
+
+def test_model_make_accepts_ints_and_bools():
+    model = ss.ObservationModel.make(2, [1, 0, 1], {"a": "b"}, observe_actions=False, observe_rewards=True)
+    assert (model.window_length, model.window_starts) == (2, (0, 1))
+    assert (model.observe_actions, model.observe_rewards) == (False, True)

@@ -292,15 +292,15 @@ def test_quotiented_checkers_match_brute_force(seed, stationary, data):
 
 
 def _count_evaluations(monkeypatch):
-    """Count calls of the engine's one per-behaviour entry point."""
+    """Count calls of the walk's per-leaf step, run once per behaviour."""
     calls = Counter()
-    inner = observation._Engine.evaluate
+    inner = observation._Engine._leaf
 
     def wrapper(*args, **kwargs):
-        calls["evaluate"] += 1
+        calls["leaf"] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(observation._Engine, "evaluate", wrapper)
+    monkeypatch.setattr(observation._Engine, "_leaf", wrapper)
     return calls
 
 
@@ -309,12 +309,12 @@ def test_checkers_evaluate_behaviours_not_policies(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     verdict = ss.check_sufficiency(mdp, model)
     assert verdict.policy_class.enumerated == 8192
-    assert calls == {"evaluate": 128}
+    assert calls == {"leaf": 128}
 
     calls.clear()
     report = ss.check_objective_consistency(mdp, 6)
     assert report.policy_class.enumerated == 8192
-    assert calls == {"evaluate": 128}
+    assert calls == {"leaf": 128}
 
 
 def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
@@ -325,12 +325,30 @@ def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     verdict = ss.check_sufficiency(mdp, model, stationary=False, cap=50)
     assert verdict.policy_class == ss.PolicyClass("deterministic-nonstationary", 50, 2**42, True)
-    assert calls == {"evaluate": 50}
+    assert calls == {"leaf": 50}
 
     calls.clear()
     report = ss.check_objective_consistency(mdp, 2, stationary=False, cap=50)
     assert report.policy_class.enumerated == 50
-    assert calls == {"evaluate": 50}
+    assert calls == {"leaf": 50}
+
+
+def test_checkers_reject_an_invalid_mdp():
+    # A non-terminal state without actions empties the class; the verdict
+    # must not be a vacuous "sufficient" over zero policies.
+    mdp = ss.build_mdp(
+        ["s0", "dead", "end"],
+        {"s0": ["a", "b"]},
+        {("s0", "a"): [("end", 1, 1)], ("s0", "b"): [("end", 1, 0)]},
+        1,
+        {"s0": 1},
+        ["end"],
+    )
+    model = ss.ObservationModel.make(1, [0], ss.identity_phi(mdp))
+    with pytest.raises(ss.InvalidParam, match="state dead has no available actions"):
+        ss.check_sufficiency(mdp, model)
+    with pytest.raises(ss.InvalidParam, match="state dead has no available actions"):
+        ss.check_objective_consistency(mdp, 0)
 
 
 @pytest.mark.parametrize("cap", [0, -5])
