@@ -175,7 +175,10 @@ def _positive(window_length: int) -> int:
 
 
 def _penalty(h: int, penalty) -> Fraction:
-    m = rational(penalty)
+    try:
+        m = rational(penalty)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidParam(f"penalty must be an exact rational (int, Fraction or \"p/q\"), got {penalty!r}") from None
     if m <= h + 1:
         raise InvalidParam(f"penalty must satisfy M > H+1 (here H+1 = {h + 1}), got {m}")
     return m

@@ -398,8 +398,11 @@ class _Engine:
 
 
 def _engine_for(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> _Engine:
-    """The engine for a caller's policy, checked here once; den_pi is the
-    lcm of its cell denominators."""
+    """The engine for a caller's policy; the MDP, the model if given and the
+    policy are checked here once. den_pi is the lcm of its cell denominators."""
+    _require_mdp(mdp)
+    if model is not None:
+        _require_model(mdp, model)
     _require_policy(mdp, policy)
     rows = {id(row): row for row in policy.rows}.values()
     return _Engine(mdp, model, lcm(*(q.denominator for row in rows for cell in row.values() for _, q in cell)))
@@ -416,7 +419,6 @@ def segment_distribution(
     as they meet in the same underlying state, so aliasing collapses mass
     exactly where the learner cannot tell trajectories apart.
     """
-    _require_model(mdp, model)
     engine = _engine_for(mdp, policy, model)
     _, _, tables = engine.evaluate(policy)
     per_start = []

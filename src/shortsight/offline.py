@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InvalidParam, ModelMismatch
 from .mdp import ONE, ZERO, Policy, TabularMDP, Trajectory
-from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop, _require_policy
+from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop, _require_mdp, _require_policy
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,7 @@ def sample_dataset(
     """Draw n independent trajectories under the behavior policy."""
     if n < 1:
         raise InvalidParam(f"n must be >= 1, got {n}")
+    _require_mdp(mdp)
     _require_policy(mdp, behavior)
 
     initial = _cdf((s, p) for s, p in enumerate(mdp.initial) if p > 0)
@@ -113,17 +114,23 @@ def sample_dataset(
     return OfflineDataset(tuple(trajectories), behavior.describe(mdp), seed)
 
 
+def _trajectory_key(traj: Trajectory) -> tuple:
+    """The one grouping key for equal trajectories: their labels and the
+    identity of their reward objects. No reward is hashed per trajectory;
+    equal rewards in distinct objects only split a group."""
+    return traj.states, traj.actions, tuple(map(id, traj.rewards))
+
+
 def empirical_segments(dataset: OfflineDataset, model: ObservationModel) -> EmpiricalSegmentStats:
     """Crop every trajectory at every window start and tally observed segments.
 
-    Equal trajectories are checked and cropped once, in first-seen order, and
-    tallied with their count. They are grouped by reward object identity, so no
-    reward is hashed per trajectory; equal rewards in distinct objects only
-    split a group, and the tally merges its segments again.
+    Equal trajectories (grouped by `_trajectory_key`) are checked and cropped
+    once, in first-seen order, and tallied with their count; a group split by
+    equal rewards in distinct objects is merged again by the tally.
     """
     groups: dict[tuple, list] = {}
     for traj in dataset.trajectories:
-        groups.setdefault((traj.states, traj.actions, tuple(map(id, traj.rewards))), [traj, 0])[1] += 1
+        groups.setdefault(_trajectory_key(traj), [traj, 0])[1] += 1
     phi = model.phi_map
     tallies: dict[int, dict[ObservedSegment, int]] = {t: {} for t in model.window_starts}
     for traj, count in groups.values():

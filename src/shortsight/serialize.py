@@ -5,6 +5,12 @@ round-trip exactly (parse(serialize(x)) == x). Parsing is strict: unknown
 fields are rejected with the offending field path, syntax errors carry the
 line and column, and semantic problems are reported through the same
 validators the rest of the package uses.
+
+Every document and CLI report is written by `canonical_json`. Its canonical
+form is the bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a
+newline; the writer produces them itself (strings through the C
+`encode_basestring_ascii`), and a property test proves it equal to
+`json.dumps` on report-shaped documents.
 """
 
 from __future__ import annotations
@@ -13,20 +19,20 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InvalidParam, ParseError, ValidationError
 from .mdp import Policy, TabularMDP, Trajectory, _integer, build_mdp, validate_mdp, validate_policy
 from .observation import ObservationModel
-from .offline import OfflineDataset
+from .offline import OfflineDataset, _trajectory_key
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """The wire form of an exact rational: "n" or "n/d" in lowest terms,
+    which is exactly `str` of a Fraction (or of an int)."""
+    return str(value)
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -36,7 +42,69 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte, over
+    dicts with str keys, lists, str, int, bool and None; any other type
+    raises TypeError."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append the text of one value to `out`; each of its line breaks is
+    followed by the indent that ends `nl`."""
+    if not isinstance(obj, (dict, list)):
+        out.append(_scalar(obj))
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        inner = nl + "  "
+        lead = "{" + inner
+        for key in sorted(obj):
+            out.append(lead + _quote(key) + ": ")  # _quote refuses a non-str key
+            _write(obj[key], inner, out)
+            lead = "," + inner
+        out.append(nl + "}")
+    else:
+        inner = nl + "  "
+        out.append("[" + inner)
+        out.append(("," + inner).join(_items(obj, inner)))
+        out.append(nl + "]")
+
+
+def _items(items: list, nl: str):
+    """The texts of a list's items. An object the list holds again is
+    rendered once for this list."""
+    if all(isinstance(item, str) for item in items):
+        return map(_quote, items)
+    texts: dict[int, str] = {}
+    parts = []
+    for item in items:
+        if isinstance(item, (dict, list)):
+            text = texts.get(id(item))
+            if text is None:
+                sub: list[str] = []
+                _write(item, nl, sub)
+                text = texts[id(item)] = "".join(sub)
+        else:
+            text = _scalar(item)
+        parts.append(text)
+    return parts
+
+
+def _scalar(obj) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def sha256_hex(data: bytes) -> str:
@@ -295,18 +363,25 @@ def parse_policy(text: str, mdp: TabularMDP) -> Policy:
 
 
 def serialize_dataset(dataset: OfflineDataset) -> str:
-    return canonical_json({
-        "behavior_id": dataset.behavior_id,
-        "seed": dataset.seed,
-        "n": dataset.n,
-        "trajectories": [
-            {
+    # One record per distinct trajectory, listed again for each repeat, so
+    # the writer renders it once.
+    records: dict[tuple, dict] = {}
+    listed = []
+    for traj in dataset.trajectories:
+        key = _trajectory_key(traj)
+        record = records.get(key)
+        if record is None:
+            record = records[key] = {
                 "states": list(traj.states),
                 "actions": list(traj.actions),
                 "rewards": [format_rational(r) for r in traj.rewards],
             }
-            for traj in dataset.trajectories
-        ],
+        listed.append(record)
+    return canonical_json({
+        "behavior_id": dataset.behavior_id,
+        "seed": dataset.seed,
+        "n": dataset.n,
+        "trajectories": listed,
     })
 
 

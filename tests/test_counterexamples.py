@@ -32,6 +32,14 @@ def test_spec_rejects_bad_params():
         ss.build_aliasing(-1)
 
 
+@pytest.mark.parametrize("penalty", [5.5, True, "five", "1/0", [10]])
+def test_a_bad_greedy_penalty_is_a_located_error(penalty):
+    with pytest.raises(InvalidParam, match="penalty must be an exact rational"):
+        ss.CounterexampleSpec("greedy", 2, penalty)
+    with pytest.raises(InvalidParam, match="penalty must be an exact rational"):
+        ss.build_greedy(2, penalty)
+
+
 @pytest.mark.parametrize("window_length", [2.5, True, "2"])
 def test_builders_reject_a_non_integer_window_length(window_length):
     with pytest.raises(InvalidParam, match="window_length must be an integer"):

@@ -188,3 +188,22 @@ def test_a_horizon_past_the_recursion_limit_evaluates():
     model = ss.ObservationModel.make(1, [0, horizon - 1], {"a": "f"})
     dist = ss.segment_distribution(mdp, pol, model)
     assert [len(dist.table(t)) for t in dist.starts] == [1, 1]
+
+
+def test_single_policy_entry_points_reject_an_invalid_mdp():
+    # The only row of a sums to 1/2: every entry point refuses to evaluate it.
+    mdp = ss.build_mdp(["a", "b"], {"a": ["x"]}, {("a", "x"): [("b", Fraction(1, 2), 1)]}, 1, {"a": 1}, ["b"])
+    assert ss.validate_mdp(mdp) == ["probabilities for (a, x) sum to 1/2, expected 1"]
+    policy = ss.make_stationary(mdp, {"a": "x"})
+    model = ss.ObservationModel.make(1, [0], ss.identity_phi(mdp))
+    calls = [
+        lambda: ss.full_return(mdp, policy),
+        lambda: ss.truncated_return(mdp, policy, 0),
+        lambda: ss.occupancy(mdp, policy),
+        lambda: ss.step_rewards(mdp, policy),
+        lambda: ss.segment_distribution(mdp, policy, model),
+        lambda: ss.sample_dataset(mdp, policy, 1, 0),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParam, match=r"\(a, x\) sum to 1/2"):
+            call()

@@ -3,8 +3,10 @@ recorded goldens.
 
 Replays operations of `perfbench/workloads.make_plan` in a scratch working
 directory and checks each one's exit code and report sha256 against
-`perfbench/goldens.json`, which is only read here. The `offline` workload is
-left to the benchmark: its 16-seed pool takes tens of seconds.
+`perfbench/goldens.json`, which is only read here. Every workload is replayed
+at seed 0 and in its tiny form. The `offline` `sample` report carries the
+sha256 of the dataset file it writes, so dataset bytes are checked too; the
+rest of its 16-seed pool is left to the benchmark.
 """
 
 import hashlib
@@ -20,7 +22,6 @@ import shortsight.cli
 import shortsight.serialize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
 
 
 def _load_workloads():
@@ -43,6 +44,8 @@ workloads = _load_workloads()
         ("random-dense", 0, False),
         ("random-dense", 1, False),
         ("random-dense", 0, True),
+        ("offline", 0, False),
+        ("offline", 0, True),
     ],
 )
 def test_reports_match_the_benchmark_goldens(tmp_path, monkeypatch, workload, seed, tiny):

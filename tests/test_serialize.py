@@ -2,10 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import shortsight as ss
 from shortsight.errors import ParseError, ValidationError
+from shortsight.mdp import Trajectory
+from shortsight.offline import OfflineDataset
 from shortsight.serialize import (
+    canonical_json,
     format_rational,
     parse_dataset,
     parse_mdp,
@@ -25,6 +29,79 @@ def test_rational_formatting_round_trip():
     for value in (Fraction(0), Fraction(3), Fraction(-6), Fraction(2, 3), Fraction(-123456789, 987654321)):
         assert parse_rational(format_rational(value), "x") == value
     assert format_rational(Fraction(4, 2)) == "2"
+
+
+def test_rational_wire_strings_are_pinned():
+    assert format_rational(Fraction(-3, 4)) == "-3/4"
+    assert format_rational(Fraction(6, 3)) == "2"
+    assert format_rational(Fraction(-8, 4)) == "-2"
+    assert format_rational(Fraction(0)) == "0"
+    assert format_rational(Fraction(-1, 2**64 + 1)) == "-1/18446744073709551617"
+    assert format_rational(Fraction(2**70 + 1, 2**65)) == "1180591620717411303425/36893488147419103232"
+
+
+# Strings a report can carry: JSON escapes, control characters, non-ASCII
+# (including U+2028 and an astral character) and anything else.
+_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2029\U0001f600a') | st.characters(), max_size=6)
+_INTS = st.integers() | st.sampled_from([2**64 + 1, -(10**40), 0, -1])
+_VALUES = st.recursive(
+    _TEXT | _INTS | st.booleans() | st.none(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _report_docs(draw):
+    """A report-shaped document: nested values, a list of labels, and one
+    sub-object listed several times in one list and again at another depth."""
+    shared = draw(st.dictionaries(_TEXT, _VALUES, max_size=3) | st.lists(_VALUES, max_size=3))
+    other = draw(_VALUES)
+    rows = [shared if pick else other for pick in draw(st.lists(st.booleans(), max_size=6))]
+    return {
+        "body": draw(st.dictionaries(_TEXT, _VALUES, max_size=3)),
+        "labels": draw(st.lists(_TEXT, max_size=5)),
+        "rows": rows,
+        "deeper": {"rows": [shared, rows, shared], "empty": [[], {}]},
+    }
+
+
+@given(_report_docs())
+def test_canonical_json_is_json_dumps_byte_for_byte(doc):
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@given(_VALUES)
+def test_canonical_json_of_any_value_is_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [0.5, {"a": [1, 1.5]}, (1, 2), {"a": ("x",)}, {1: "a"}, [{"b": 1, None: 2}], Fraction(1, 2)])
+def test_canonical_json_refuses_what_a_report_cannot_hold(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)
+
+
+def test_dataset_bytes_do_not_depend_on_shared_records():
+    # Equal trajectories with fresh reward objects, repeated, and the same
+    # trajectory object repeated: the file is the json.dumps form either way.
+    def traj(*rewards):
+        return Trajectory(("a", "b", "a"), ("x", "y"), tuple(Fraction(r) for r in rewards))
+
+    same = traj("1/2", "-3")
+    trajectories = (same, traj("1/2", "-3"), same, traj("7", "0"), traj("1/2", "-3"), same)
+    ds = OfflineDataset(trajectories, "b", 4)
+    doc = {
+        "behavior_id": "b",
+        "seed": 4,
+        "n": 6,
+        "trajectories": [
+            {"states": list(t.states), "actions": list(t.actions), "rewards": [str(r) for r in t.rewards]}
+            for t in trajectories
+        ],
+    }
+    assert serialize_dataset(ds) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert parse_dataset(serialize_dataset(ds)) == ds
 
 
 def test_rational_parsing_rejects_junk():
