@@ -15,6 +15,7 @@ environment variable. Either must be an integer >= 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ from fractions import Fraction
 from .counterexamples import FAMILIES, CounterexampleSpec, build_counterexample, verify_proposition
 from .errors import InvalidParam, ShortsightError
 from .evaluate import full_return, truncated_return
+from .mdp import policy_at_index
 from .observation import segment_distribution
 from .offline import sample_dataset
 from .serialize import (
@@ -185,10 +187,16 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _describe_policies(mdp, indices, stationary: bool) -> list[str]:
+    """The descriptions of the policies at `indices` of the class, in order."""
+    return [policy_at_index(mdp, i, stationary).describe(mdp) for i in indices]
+
+
 def _cmd_ordering(args) -> int:
     mdp_text, mdp_input = _read(args.mdp)
     mdp = parse_mdp(mdp_text)
-    report = check_objective_consistency(mdp, args.h, stationary=not args.nonstationary, cap=args.cap)
+    stationary = not args.nonstationary
+    report = check_objective_consistency(mdp, args.h, stationary=stationary, cap=args.cap)
     _emit(
         {
             "command": "ordering",
@@ -197,12 +205,12 @@ def _cmd_ordering(args) -> int:
             "truncated_argmax": {
                 "value": format_rational(report.best_truncated),
                 "indices": list(report.truncated_argmax),
-                "policies": list(report.truncated_argmax_descriptions),
+                "policies": _describe_policies(mdp, report.truncated_argmax, stationary),
             },
             "full_argmax": {
                 "value": format_rational(report.best_full),
                 "indices": list(report.full_argmax),
-                "policies": list(report.full_argmax_descriptions),
+                "policies": _describe_policies(mdp, report.full_argmax, stationary),
             },
             "argmax_intersects": report.argmax_intersects,
             "ordering_agrees": report.ordering_agrees,
@@ -256,7 +264,9 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="shortsight",
         description="Exact diagnostics for learning from fixed-length trajectory windows in tabular MDPs.",

@@ -10,6 +10,7 @@ else in the package.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -43,6 +44,13 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class TabularMDP:
+    """A finite-horizon MDP over integer state and action ids.
+
+    Instances are deeply immutable: every table is a tuple (or frozenset) of
+    ints, strings and Fractions, as `build_mdp` and `parse_mdp` build them, so
+    an MDP that passed `validate_mdp` stays valid.
+    """
+
     states: tuple[str, ...]
     actions: tuple[tuple[str, ...], ...]
     transitions: tuple[tuple[tuple[Outcome, ...], ...], ...]
@@ -155,12 +163,27 @@ def build_mdp(
     return TabularMDP(labels, tuple(act_rows), tuple(trans_rows), _integer(horizon, "horizon"), init, term)
 
 
+# MDPs that passed `validate_mdp`, by identity. Weak values: an entry goes
+# when its MDP is collected, and the `is` check guards a reused id.
+_VALID: weakref.WeakValueDictionary[int, TabularMDP] = weakref.WeakValueDictionary()
+
+
 def validate_mdp(mdp: TabularMDP) -> list[str]:
     """Return one message per invariant violation; an empty list means valid.
 
     Violations are data, not failures: callers decide what to do with a
-    broken model, so nothing is raised here.
+    broken model, so nothing is raised here. MDPs are immutable, so each
+    object that passes is checked once; a failing one is checked every time.
     """
+    if _VALID.get(id(mdp)) is mdp:
+        return []
+    problems = _mdp_problems(mdp)
+    if not problems:
+        _VALID[id(mdp)] = mdp
+    return problems
+
+
+def _mdp_problems(mdp: TabularMDP) -> list[str]:
     problems = []
     n = mdp.n_states
     if mdp.horizon < 1:

@@ -385,6 +385,21 @@ def serialize_dataset(dataset: OfflineDataset) -> str:
     })
 
 
+def _record_key(rec) -> tuple | None:
+    """The fields of a record shaped like a valid one (a dict of exactly
+    three lists) as one key, else None. Valid items are all strings, so a
+    record whose key equals a valid record's is that record."""
+    if type(rec) is not dict or len(rec) != 3:
+        return None
+    try:
+        fields = rec["states"], rec["actions"], rec["rewards"]
+    except KeyError:
+        return None
+    if any(type(f) is not list for f in fields):
+        return None
+    return tuple(map(tuple, fields))
+
+
 def parse_dataset(text: str) -> OfflineDataset:
     top = _as_dict(_load_json(text), "document")
     _check_fields(top, "document", required=("behavior_id", "seed", "n", "trajectories"))
@@ -392,11 +407,21 @@ def parse_dataset(text: str) -> OfflineDataset:
     records = _as_list(top["trajectories"], "trajectories")
     if len(records) != n:
         raise ParseError(f"n is {n} but {len(records)} trajectories are present", "n")
-    # A dataset repeats a few reward strings: each distinct one is parsed once.
-    # Only strings that parsed are kept, so a bad value is reported where it is.
+    # A dataset repeats a few records and reward strings: each distinct one is
+    # parsed once. Only values that parsed are kept, so a bad one is still
+    # reported where it is.
+    parsed: dict[tuple, Trajectory] = {}
     rationals: dict[str, Fraction] = {}
     trajectories = []
     for i, rec in enumerate(records):
+        key = _record_key(rec)
+        try:
+            traj = parsed.get(key)
+        except TypeError:  # an unhashable item: the full checks locate it
+            key = traj = None
+        if traj is not None:
+            trajectories.append(traj)
+            continue
         where = f"trajectories[{i}]"
         rec = _as_dict(rec, where)
         _check_fields(rec, where, required=("states", "actions", "rewards"))
@@ -410,7 +435,10 @@ def parse_dataset(text: str) -> OfflineDataset:
             rewards.append(value)
         if len(states) != len(acts) + 1 or len(rewards) != len(acts):
             raise ParseError("states/actions/rewards lengths are inconsistent", where)
-        trajectories.append(Trajectory(states, acts, tuple(rewards)))
+        traj = Trajectory(states, acts, tuple(rewards))
+        if key is not None:
+            parsed[key] = traj
+        trajectories.append(traj)
     return OfflineDataset(
         tuple(trajectories),
         _as_str(top["behavior_id"], "behavior_id"),

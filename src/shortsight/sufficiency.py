@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import InvalidParam
 from .evaluate import _kept_steps
-from .mdp import Behaviour, Policy, TabularMDP, policy_at_index, policy_cells, policy_class_size
+from .mdp import Behaviour, Policy, TabularMDP, _integer, policy_at_index, policy_cells, policy_class_size
 from .observation import ObservationModel, _Engine, _require_mdp, _require_model
 
 DEFAULT_CAP = 10**6
@@ -76,13 +76,12 @@ class OrderingReport:
     best_full: Fraction
     argmax_intersects: bool
     ordering_agrees: bool
-    truncated_argmax_descriptions: tuple[str, ...]
-    full_argmax_descriptions: tuple[str, ...]
     policy_class: PolicyClass
 
 
 def require_cap(cap: int, name: str = "cap") -> int:
     """The one rule for a policy cap: a positive integer. `name` locates the value."""
+    cap = _integer(cap, name)
     if cap < 1:
         raise InvalidParam(f"{name} must be >= 1, got {cap}")
     return cap
@@ -189,9 +188,6 @@ def check_objective_consistency(
     order = sorted((trunc, full) for trunc, full, _ in evaluated)
     agrees = all(f2 == f1 if t2 == t1 else f2 > f1 for (t1, f1), (t2, f2) in zip(order, order[1:]))
 
-    def describe(indices):
-        return tuple(policy_at_index(mdp, i, stationary).describe(mdp) for i in indices)
-
     return OrderingReport(
         last_step=last_step,
         truncated_argmax=t_argmax,
@@ -200,7 +196,5 @@ def check_objective_consistency(
         best_full=Fraction(best_f, engine.den(mdp.horizon)),
         argmax_intersects=intersects,
         ordering_agrees=agrees,
-        truncated_argmax_descriptions=describe(t_argmax),
-        full_argmax_descriptions=describe(f_argmax),
         policy_class=pclass,
     )

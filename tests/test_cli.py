@@ -3,7 +3,7 @@ import json
 import pytest
 
 import shortsight as ss
-from shortsight.cli import main
+from shortsight.cli import _build_parser, main
 from shortsight.serialize import parse_dataset, parse_mdp, parse_model, serialize_policy
 
 from conftest import half_behavior
@@ -216,6 +216,19 @@ def test_malformed_input_is_exit_two_not_a_crash(tmp_path, capsys):
 def test_usage_error_exit_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys)[0] == 2
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(prefix_files, capsys):
+    # One parser serves every call in a process; a failed parse must not
+    # change what the next call prints.
+    mdp_path, _ = prefix_files
+    ordering = ["ordering", "--mdp", mdp_path, "--h", "1"]
+    _build_parser.cache_clear()
+    fresh = run_cli(capsys, *ordering)
+    assert run_cli(capsys, "ordering", "--mdp", mdp_path, "--h", "x")[0] == 2
+    assert run_cli(capsys, "verify", "--prop", "4", "--H", "2")[0] == 2
+    assert run_cli(capsys, *ordering) == fresh
+    assert _build_parser() is _build_parser()
 
 
 def test_cap_env_var_scopes_check(tmp_path, capsys, monkeypatch):

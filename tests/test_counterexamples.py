@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import shortsight as ss
+from shortsight import counterexamples
 from shortsight.errors import InvalidParam
 
 from oracle import oracle_segments
@@ -189,3 +190,20 @@ def test_report_pass_iff_every_check_passes():
         report.checks + (ss.ClaimCheck("forced failure", "1", "0", False),),
     )
     assert not demoted.passed
+
+
+@pytest.mark.parametrize("prop, h, m", [(1, 7, None), (2, 7, 90), (3, 7, None)])
+def test_verify_validates_each_mdp_it_builds_once(monkeypatch, mdp_checks, prop, h, m):
+    # The MDP goes through several public entry points, each of which
+    # requires a valid MDP; the full check runs on it once.
+    built = []
+    build = counterexamples.build_mdp
+
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(counterexamples, "build_mdp", counting_build)
+    assert ss.verify_proposition(prop, h, m).passed
+    assert len(built) == 1
+    assert [id(x) for x in mdp_checks] == [id(x) for x in built]

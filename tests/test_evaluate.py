@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -44,6 +45,17 @@ def test_truncated_rejects_negative_index(prefix3):
         ss.truncated_return(mdp, pol, -1)
     with pytest.raises(InvalidParam, match="last_step must be >= 0, got -1"):
         ss.check_objective_consistency(mdp, -1)
+
+
+@pytest.mark.parametrize("last_step", [True, 1.5, None, "1"])
+def test_last_step_must_be_an_integer(prefix3, last_step):
+    mdp, _ = prefix3
+    pol, _ = ss.commit_policies(mdp)
+    message = re.escape(f"last_step must be an integer, got {last_step!r}")
+    with pytest.raises(InvalidParam, match=message):
+        ss.truncated_return(mdp, pol, last_step)
+    with pytest.raises(InvalidParam, match=message):
+        ss.check_objective_consistency(mdp, last_step)
 
 
 def test_occupancy_prefix_point_masses(prefix3):

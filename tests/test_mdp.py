@@ -1,9 +1,11 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
 import shortsight as ss
+from shortsight import mdp as mdp_module
 from shortsight.mdp import policy_at_index
 from shortsight.observation import _Engine
 from shortsight.sufficiency import _walk_class
@@ -87,6 +89,36 @@ def test_validate_is_pure():
     first = ss.validate_mdp(mdp)
     second = ss.validate_mdp(mdp)
     assert first == second == []
+
+
+def test_a_valid_mdp_is_checked_once(mdp_checks):
+    mdp = two_action_chain()
+    equal = two_action_chain()
+    for _ in range(3):
+        assert ss.validate_mdp(mdp) == ss.validate_mdp(equal) == []
+    # Once per object: an equal MDP built apart is checked on its own.
+    assert [id(m) for m in mdp_checks] == [id(mdp), id(equal)]
+
+
+def test_an_invalid_mdp_is_checked_and_refused_every_time(mdp_checks):
+    mdp = ss.build_mdp(["a", "b"], {"a": ["x"]}, {("a", "x"): [("b", Fraction(1, 2), 1)]}, 1, {"a": 1}, ["b"])
+    policy = ss.make_stationary(mdp, {"a": "x"})
+    for _ in range(3):
+        assert ss.validate_mdp(mdp) == ["probabilities for (a, x) sum to 1/2, expected 1"]
+        with pytest.raises(ss.InvalidParam, match=r"\(a, x\) sum to 1/2"):
+            ss.full_return(mdp, policy)
+    assert len(mdp_checks) == 6
+    assert id(mdp) not in mdp_module._VALID
+
+
+def test_the_memo_lets_go_of_a_collected_mdp():
+    mdp = two_action_chain()
+    key = id(mdp)
+    assert ss.validate_mdp(mdp) == []
+    assert mdp_module._VALID.get(key) is mdp
+    del mdp
+    gc.collect()
+    assert key not in mdp_module._VALID
 
 
 def test_enumeration_single_choice_state():

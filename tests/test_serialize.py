@@ -181,6 +181,40 @@ def test_bad_reward_after_many_repeats_is_reported_where_it_is(bad):
     assert {traj.rewards for traj in ds.trajectories} == {(Fraction(1, 2), Fraction(-3))}
 
 
+@pytest.mark.parametrize(
+    "edit, position",
+    [
+        (lambda rec: rec["states"].__setitem__(1, 7), "trajectories[2500].states[1]"),
+        (lambda rec: rec["states"].__setitem__(1, ["a"]), "trajectories[2500].states[1]"),
+        (lambda rec: rec.__setitem__("states", "abc"), "trajectories[2500].states"),
+        (lambda rec: rec.__setitem__("actions", {"x": 0, "y": 1}), "trajectories[2500].actions"),
+        (lambda rec: rec.__setitem__("note", "x"), "trajectories[2500]"),
+        (lambda rec: rec["rewards"].__setitem__(0, "1/0"), "trajectories[2500].rewards[0]"),
+    ],
+    ids=["int-state", "unhashable-state", "string-states", "dict-actions", "extra-field", "bad-reward"],
+)
+def test_a_record_like_an_earlier_one_is_checked_in_full(edit, position):
+    # Records equal to an earlier valid one reuse its parse; a record that
+    # differs only in a bad item, a container that iterates like the valid
+    # list ("abc", a dict of its labels) or an extra field is still checked
+    # and reported at its own index.
+    good = {"states": ["a", "b", "c"], "actions": ["x", "y"], "rewards": ["1/2", "-3"]}
+    records = [json.loads(json.dumps(good)) for _ in range(3000)]
+    edit(records[2500])
+    doc = {"behavior_id": "b", "seed": 0, "n": len(records), "trajectories": records}
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(json.dumps(doc))
+    assert exc.value.position == position
+
+
+def test_repeated_records_parse_to_one_trajectory():
+    records = [{"states": ["a", "b"], "actions": ["x"], "rewards": [r]} for r in ("1", "2", "1", "1")]
+    doc = {"behavior_id": "b", "seed": 0, "n": 4, "trajectories": records}
+    ds = parse_dataset(json.dumps(doc))
+    assert [t.rewards for t in ds.trajectories] == [(1,), (2,), (1,), (1,)]
+    assert ds.trajectories[0] is ds.trajectories[2] is ds.trajectories[3]
+
+
 def test_empty_document_is_a_parse_error_at_position_zero():
     with pytest.raises(ParseError) as exc:
         parse_mdp("")

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import shortsight as ss
 from shortsight import observation
+from shortsight.cli import _describe_policies
 
 from oracle import (
     all_nonstationary_policies,
@@ -287,7 +289,8 @@ def test_quotiented_checkers_match_brute_force(seed, stationary, data):
     assert (report.best_truncated, report.best_full) == (best_t, best_f)
     assert report.argmax_intersects == bool(set(t_argmax) & set(f_argmax))
     assert report.ordering_agrees == agrees
-    assert report.truncated_argmax_descriptions == tuple(policies[i].describe(mdp) for i in t_argmax)
+    assert _describe_policies(mdp, t_argmax, stationary) == [policies[i].describe(mdp) for i in t_argmax]
+    assert _describe_policies(mdp, f_argmax, stationary) == [policies[i].describe(mdp) for i in f_argmax]
     assert report.policy_class == pclass
 
 
@@ -359,6 +362,20 @@ def test_checkers_reject_a_cap_below_one(prefix3, cap):
     with pytest.raises(ss.InvalidParam, match="cap must be >= 1"):
         ss.check_objective_consistency(mdp, 1, cap=cap)
     with pytest.raises(ss.InvalidParam, match="cap must be >= 1"):
+        ss.verify_proposition(1, 2, cap=cap)
+
+
+@pytest.mark.parametrize("cap", [True, "10", 2.5, None])
+def test_checkers_reject_a_cap_that_is_not_an_integer(prefix3, cap):
+    # Once: True capped the class at one policy, "10" raised a raw
+    # TypeError and 2.5 was accepted.
+    mdp, model = prefix3
+    message = re.escape(f"cap must be an integer, got {cap!r}")
+    with pytest.raises(ss.InvalidParam, match=message):
+        ss.check_sufficiency(mdp, model, cap=cap)
+    with pytest.raises(ss.InvalidParam, match=message):
+        ss.check_objective_consistency(mdp, 1, cap=cap)
+    with pytest.raises(ss.InvalidParam, match=message):
         ss.verify_proposition(1, 2, cap=cap)
 
 
