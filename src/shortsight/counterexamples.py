@@ -45,7 +45,7 @@ class CounterexampleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidParam(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        h = _positive(self.window_length)
+        h = _integer(self.window_length, "window_length", 1)
         if self.family == "greedy":
             if self.penalty is None:
                 raise InvalidParam("greedy family requires a penalty M")
@@ -81,7 +81,7 @@ def build_greedy(window_length: int, penalty) -> tuple[TabularMDP, ObservationMo
     states and rewards; the failure is in the truncated objective itself,
     not in observability.
     """
-    h = _positive(window_length)
+    h = _integer(window_length, "window_length", 1)
     m = _penalty(h, penalty)
 
     states = ["s0"]
@@ -136,7 +136,7 @@ def _two_chains(window_length: int, name, feature) -> tuple[TabularMDP, Observat
     """s0 chooses L or R, entering a go-only chain of H+1 states, name(t,
     side) for t = 1..H+1, that ends in g (reward 1) after L and b (reward 0)
     after R. Chain states at depth t share feature(t); windows start at t=1."""
-    h = _positive(window_length)
+    h = _integer(window_length, "window_length", 1)
     states, actions, phi = ["s0"], {"s0": ("L", "R")}, {"s0": "s0", "g": "g", "b": "b"}
     transitions = {("s0", side): [(name(1, side), 1, 0)] for side in ("L", "R")}
     for side, end, reward in (("L", "g", 1), ("R", "b", 0)):
@@ -165,13 +165,6 @@ def commit_policies(mdp: TabularMDP) -> tuple[Policy, Policy]:
 def greedy_policies(mdp: TabularMDP) -> tuple[Policy, Policy]:
     """(all-greedy, all-patient) for the greedy family."""
     return make_stationary(mdp, default="greedy"), make_stationary(mdp, default="patient")
-
-
-def _positive(window_length: int) -> int:
-    h = _integer(window_length, "window_length")
-    if h < 1:
-        raise InvalidParam(f"window_length must be >= 1, got {window_length}")
-    return h
 
 
 def _penalty(h: int, penalty) -> Fraction:
@@ -238,7 +231,7 @@ def verify_proposition(
     the same checks as a `CounterexampleSpec` of that family.
     """
     require_cap(cap)
-    if proposition not in (1, 2, 3):
+    if _integer(proposition, "proposition") not in (1, 2, 3):
         raise InvalidParam(f"proposition must be 1, 2 or 3, got {proposition}")
     spec = CounterexampleSpec(FAMILIES[proposition - 1], window_length, penalty)
     if proposition == 2:

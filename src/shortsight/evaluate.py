@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParam
 from .mdp import Policy, TabularMDP, _integer
 from .observation import _engine_for
 
@@ -50,10 +49,7 @@ def truncated_return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fractio
 def _kept_steps(mdp: TabularMDP, last_step: int) -> int:
     """The one rule for an inclusive last reward index: reward terms
     0..last_step, clipped to the horizon."""
-    last_step = _integer(last_step, "last_step")
-    if last_step < 0:
-        raise InvalidParam(f"last_step must be >= 0, got {last_step}")
-    return min(last_step + 1, mdp.horizon)
+    return min(_integer(last_step, "last_step", 0) + 1, mdp.horizon)
 
 
 def _return(mdp: TabularMDP, policy: Policy, steps: int) -> Fraction:

@@ -9,12 +9,11 @@ else in the package.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParam
 
@@ -34,11 +33,20 @@ def rational(value) -> Fraction:
     return Fraction(value)
 
 
-def _integer(value, name: str) -> int:
-    """The one rule for an integer parameter: an int that is not a bool.
-    `name` locates the value."""
+def _integer(value, name: str, low: int | None = None) -> int:
+    """The one rule for an integer parameter: an int that is not a bool, and
+    at least `low` when given. `name` locates the value."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidParam(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidParam(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _boolean(value, name: str) -> bool:
+    """The one rule for a flag parameter: a bool. `name` locates the value."""
+    if not isinstance(value, bool):
+        raise InvalidParam(f"{name} must be a bool, got {value!r}")
     return value
 
 
@@ -276,11 +284,26 @@ class Policy:
         return ";".join(f"t{t}:{fmt(row)}" for t, row in enumerate(self.rows))
 
 
+def _cell(entries) -> Cell:
+    """The one cell rule: (action id, probability) pairs sorted by action id,
+    zero entries dropped."""
+    return tuple(sorted((a, p) for a, p in entries if p != 0))
+
+
 def _make_cell(mdp: TabularMDP, state: int, spec) -> Cell:
     if isinstance(spec, str):
         return ((mdp.action_index(state, spec), ONE),)
-    entries = sorted((mdp.action_index(state, a), rational(p)) for a, p in spec.items())
-    return tuple((a, p) for a, p in entries if p != 0)
+    return _cell((mdp.action_index(state, a), rational(p)) for a, p in spec.items())
+
+
+def _policy(horizon: int, rows: Sequence[dict[int, Cell]], stationary: bool, kind: str | None = None) -> Policy:
+    """A Policy over `rows` (a stationary one gives its one row). Unless
+    given, its kind is read off its cells: deterministic iff every cell is a
+    point mass."""
+    if kind is None:
+        point = all(len(cell) == 1 and cell[0][1] == 1 for row in rows for cell in row.values())
+        kind = "deterministic" if point else "stochastic"
+    return Policy(kind, horizon, (rows[0],) * horizon if stationary else tuple(rows), stationary)
 
 
 def make_stationary(
@@ -299,7 +322,6 @@ def make_stationary(
         if s not in mdp.states:
             raise ValueError(f"choice given for unknown state {s!r}")
     row = {}
-    stochastic = False
     for s in mdp.nonterminal():
         label = mdp.states[s]
         spec = choices.get(label)
@@ -310,12 +332,8 @@ def make_stationary(
                 spec = default
             else:
                 raise ValueError(f"no action chosen for state {label}")
-        cell = _make_cell(mdp, s, spec)
-        row[s] = cell
-        if not (len(cell) == 1 and cell[0][1] == 1):
-            stochastic = True
-    kind = "stochastic" if stochastic else "deterministic"
-    return Policy(kind, mdp.horizon, (row,) * mdp.horizon, True)
+        row[s] = _make_cell(mdp, s, spec)
+    return _policy(mdp.horizon, [row], True)
 
 
 def half_behavior(mdp: TabularMDP) -> Policy:
@@ -331,18 +349,13 @@ def make_nonstationary(mdp: TabularMDP, per_step: Sequence[Mapping[str, object]]
     if len(per_step) != mdp.horizon:
         raise ValueError(f"expected {mdp.horizon} per-step tables, got {len(per_step)}")
     rows = []
-    stochastic = False
     for table in per_step:
         row = {}
         for label, spec in table.items():
             s = mdp.index(label)
-            cell = _make_cell(mdp, s, spec)
-            row[s] = cell
-            if not (len(cell) == 1 and cell[0][1] == 1):
-                stochastic = True
+            row[s] = _make_cell(mdp, s, spec)
         rows.append(row)
-    kind = "stochastic" if stochastic else "deterministic"
-    return Policy(kind, mdp.horizon, tuple(rows), False)
+    return _policy(mdp.horizon, rows, False)
 
 
 def validate_policy(mdp: TabularMDP, policy: Policy) -> list[str]:
@@ -436,11 +449,20 @@ def policy_cells(mdp: TabularMDP, stationary: bool = True) -> tuple[PolicyCell, 
     This is the one definition of policy order: policy index i in the class
     is the mixed-radix number whose digits are the action ids at these cells,
     the last cell varying fastest (stationary: states in id order;
-    nonstationary: (t, state) with t outermost).
+    nonstationary: (t, state) with t outermost). `stationary` must be a bool.
     """
     nonterm = mdp.nonterminal()
-    steps = range(1) if stationary else range(mdp.horizon)
+    steps = range(1) if _boolean(stationary, "stationary") else range(mdp.horizon)
     return tuple((t, s) for t in steps for s in nonterm)
+
+
+def _place_values(radices: Sequence[int]) -> list[int]:
+    """The place value of each digit of a mixed-radix number, most
+    significant first: the product of the radices after it."""
+    places = [1] * len(radices)
+    for k in range(len(radices) - 1, 0, -1):
+        places[k - 1] = places[k] * radices[k]
+    return places
 
 
 def policy_at_index(mdp: TabularMDP, index: int, stationary: bool = True) -> Policy:
@@ -448,20 +470,13 @@ def policy_at_index(mdp: TabularMDP, index: int, stationary: bool = True) -> Pol
     cells = policy_cells(mdp, stationary)
     radices = [len(mdp.actions[s]) for _, s in cells]
     total = prod(radices)
+    index = _integer(index, "index")
     if not (0 <= index < total):
         raise IndexError(f"policy index {index} out of range for a class of {total}")
-    digits = []
-    for k in reversed(radices):
-        index, a = divmod(index, k)
-        digits.append(a)
-    digits.reverse()
-    if stationary:
-        row = {s: ((a, ONE),) for (_, s), a in zip(cells, digits)}
-        return Policy("deterministic", mdp.horizon, (row,) * mdp.horizon, True)
-    rows: list[dict[int, Cell]] = [{} for _ in range(mdp.horizon)]
-    for (t, s), a in zip(cells, digits):
-        rows[t][s] = ((a, ONE),)
-    return Policy("deterministic", mdp.horizon, tuple(rows), False)
+    rows: list[dict[int, Cell]] = [{} for _ in range(1 if stationary else mdp.horizon)]
+    for (t, s), k, w in zip(cells, radices, _place_values(radices)):
+        rows[t][s] = ((index // w % k, ONE),)
+    return _policy(mdp.horizon, rows, stationary, "deterministic")
 
 
 class Behaviour(NamedTuple):
@@ -477,15 +492,15 @@ class Behaviour(NamedTuple):
     first: int
     free: tuple[tuple[int, int], ...]
 
-    def members(self, below: int) -> Iterator[int]:
+    def members(self, below: int) -> list[int]:
         """Member indices less than `below`, ascending."""
-        # Free cells stay in significance order, so lexicographic digit
-        # combinations come out as ascending indices.
-        for combo in itertools.product(*(range(k) for k, _ in self.free)):
-            index = self.first + sum(a * w for a, (_, w) in zip(combo, self.free))
-            if index >= below:
-                return
-            yield index
+        # Extend the indices one free cell at a time, most significant first:
+        # a cell's digits span less than the gap between two indices so far,
+        # so the list stays ascending; nothing at or past `below` is extended.
+        indices = [self.first] if self.first < below else []
+        for radix, place in self.free:
+            indices = [j for i in indices for j in range(i, min(i + radix * place, below), place)]
+        return indices
 
 
 def policy_class_size(mdp: TabularMDP, stationary: bool = True) -> int:

@@ -6,18 +6,19 @@ actions and rewards are visible inside windows. `segment_distribution`
 computes the exact probability mass over observable segments for a policy,
 one normalized distribution per window start, with no sampling involved.
 
-One private integer engine, compiled per (MDP, model), does that work and
-the forward pass behind `evaluate` and the checkers. Its one forward DP is a
-depth-first walk over a policy class that advances the occupancy one step
-per node and yields one leaf per behaviour; a single policy is a class of
-one, walked to its one leaf. The engine interns features, action labels (by
-label, so one label at two states is one id) and reward values as small
-ints, and a segment is an id in a trie over per-step symbols, so the DPs
-key on ints. Mass at time t is an int over D0 * (D * Dpi)**t, where D0, D
-and Dpi are the lcms of the initial, transition and policy-cell
-denominators (Dpi = 1 for deterministic policies). That denominator does
-not depend on the policy, so within a class two masses are equal as ints
-iff they are equal as Fractions; Fractions appear only at the public edge.
+One private integer engine, compiled by each public call for its (MDP,
+model), does that work and the forward pass behind `evaluate` and the
+checkers. Its one forward DP is a depth-first walk over a policy class that
+advances the occupancy one step per node and yields one leaf per behaviour;
+a single policy is a class of one, walked to its one leaf. The engine
+interns features, action labels (by label, so one label at two states is one
+id) and reward values as small ints, and a segment is an id in a trie over
+per-step symbols, so the DPs key on ints. Mass at time t is an int over
+D0 * (D * Dpi)**t, where D0, D and Dpi are the lcms of the initial,
+transition and policy-cell denominators (Dpi = 1 for deterministic
+policies). That denominator does not depend on the policy, so within a class
+two masses are equal as ints iff they are equal as Fractions; Fractions
+appear only at the public edge.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidParam, InvalidTrajectory, ModelMismatch, PolicyMismatch
-from .mdp import Behaviour, Policy, TabularMDP, Trajectory, _integer, policy_cells, validate_mdp, validate_policy
+from .mdp import Behaviour, Policy, TabularMDP, Trajectory, _boolean, _integer, _place_values, policy_cells, validate_mdp, validate_policy
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,12 @@ class ObservationModel:
         observe_actions: bool = True,
         observe_rewards: bool = True,
     ) -> "ObservationModel":
-        for name, flag in (("observe_actions", observe_actions), ("observe_rewards", observe_rewards)):
-            if not isinstance(flag, bool):
-                raise InvalidParam(f"{name} must be a bool, got {flag!r}")
         return cls(
             window_length=_integer(window_length, "window_length"),
             window_starts=tuple(sorted({_integer(t, "window_starts") for t in window_starts})),
             phi=tuple(sorted((str(s), str(f)) for s, f in phi.items())),
-            observe_actions=observe_actions,
-            observe_rewards=observe_rewards,
+            observe_actions=_boolean(observe_actions, "observe_actions"),
+            observe_rewards=_boolean(observe_rewards, "observe_rewards"),
         )
 
     @property
@@ -84,8 +82,10 @@ def coarsen(model: ObservationModel, merge: Mapping[str, str]) -> ObservationMod
 
 def validate_model(mdp: TabularMDP, model: ObservationModel) -> list[str]:
     problems = []
-    if model.window_length < 1:
-        problems.append(f"window_length must be >= 1, got {model.window_length}")
+    try:
+        _integer(model.window_length, "window_length", 1)
+    except InvalidParam as exc:
+        problems.append(str(exc))
     if not model.window_starts:
         problems.append("window_starts is empty")
     for t in model.window_starts:
@@ -260,9 +260,7 @@ class _Engine:
         mdp, point, nr, r_num = self.mdp, self.point, self.nr, self.r_num
         cells = policy_cells(mdp, stationary)
         radices = [len(o) for o in options]
-        places = [1] * len(cells)
-        for k in range(len(cells) - 1, 0, -1):
-            places[k - 1] = places[k] * radices[k]
+        places = _place_values(radices)
         position = {cell: k for k, cell in enumerate(cells)}
         digits: list[int | None] = [None] * len(cells)
         # One frame per open node: (here, pending, combos, first); a frame's

@@ -20,8 +20,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParam, ModelMismatch
-from .mdp import ONE, ZERO, Policy, TabularMDP, Trajectory
+from .errors import ModelMismatch
+from .mdp import ONE, ZERO, Policy, TabularMDP, Trajectory, _integer
 from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop, _require_mdp, _require_policy
 
 
@@ -84,8 +84,8 @@ def sample_dataset(
     seed: int,
 ) -> OfflineDataset:
     """Draw n independent trajectories under the behavior policy."""
-    if n < 1:
-        raise InvalidParam(f"n must be >= 1, got {n}")
+    n = _integer(n, "n", 1)
+    seed = _integer(seed, "seed")
     _require_mdp(mdp)
     _require_policy(mdp, behavior)
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InvalidParam, ParseError, ValidationError
-from .mdp import Policy, TabularMDP, Trajectory, _integer, build_mdp, validate_mdp, validate_policy
+from .mdp import Policy, TabularMDP, Trajectory, _boolean, _cell, _integer, _policy, build_mdp, validate_mdp, validate_policy
 from .observation import ObservationModel
 from .offline import OfflineDataset, _trajectory_key
 
@@ -144,9 +144,10 @@ def _as_int(obj, where):
 
 
 def _as_bool(obj, where):
-    if not isinstance(obj, bool):
-        raise ParseError(f"expected a boolean, got {obj!r}", where)
-    return obj
+    try:
+        return _boolean(obj, where)
+    except InvalidParam:
+        raise ParseError(f"expected a boolean, got {obj!r}", where) from None
 
 
 def _strings(obj, where) -> tuple[str, ...]:
@@ -344,15 +345,11 @@ def parse_policy(text: str, mdp: TabularMDP) -> Policy:
                         f"state {label!r} has no action {a_label!r}", f"{where}[{label}]"
                     ) from None
                 entries.append((a, parse_rational(p, f"{where}[{label}][{a_label}]")))
-            row[s] = tuple(sorted((a, p) for a, p in entries if p != 0))
+            row[s] = _cell(entries)
         return row
 
-    if stationary:
-        row = parse_row(rows_doc[0], "rows[0]")
-        policy = Policy(kind, horizon, (row,) * horizon, True)
-    else:
-        rows = tuple(parse_row(r, f"rows[{t}]") for t, r in enumerate(rows_doc))
-        policy = Policy(kind, horizon, rows, False)
+    rows = [parse_row(r, f"rows[{t}]") for t, r in enumerate(rows_doc)]
+    policy = _policy(horizon, rows, stationary, kind)
     problems = validate_policy(mdp, policy)
     if problems:
         raise ValidationError(problems)

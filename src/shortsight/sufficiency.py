@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParam
 from .evaluate import _kept_steps
 from .mdp import Behaviour, Policy, TabularMDP, _integer, policy_at_index, policy_cells, policy_class_size
 from .observation import ObservationModel, _Engine, _require_mdp, _require_model
@@ -81,10 +80,7 @@ class OrderingReport:
 
 def require_cap(cap: int, name: str = "cap") -> int:
     """The one rule for a policy cap: a positive integer. `name` locates the value."""
-    cap = _integer(cap, name)
-    if cap < 1:
-        raise InvalidParam(f"{name} must be >= 1, got {cap}")
-    return cap
+    return _integer(cap, name, 1)
 
 
 def _policy_class(mdp: TabularMDP, stationary: bool, cap: int) -> PolicyClass:

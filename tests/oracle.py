@@ -118,6 +118,18 @@ def all_nonstationary_policies(mdp):
         yield Policy("deterministic", mdp.horizon, tuple(rows), False)
 
 
+def oracle_members(first, free, below):
+    """Member indices of a behaviour below `below`, ascending: `first` plus
+    every combination of free-cell digits times their place values."""
+    out = []
+    for combo in product(*(range(k) for k, _ in free)):
+        index = first + sum(a * w for a, (_, w) in zip(combo, free))
+        if index >= below:
+            break
+        out.append(index)
+    return out
+
+
 def _bucket_key(tables):
     return tuple(sorted((t0, tuple(sorted(tbl.items()))) for t0, tbl in tables.items()))
 

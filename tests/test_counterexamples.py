@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,15 @@ def test_verify_proposition_examples():
         ss.verify_proposition(4, 2)
     with pytest.raises(InvalidParam):
         ss.verify_proposition(2, 3)  # penalty missing
+
+
+@pytest.mark.parametrize("proposition", [1.0, True, "1", None])
+def test_verify_rejects_a_proposition_that_is_not_an_integer(proposition):
+    # Once: 1.0 raised a raw TypeError and True reported proposition True.
+    with pytest.raises(InvalidParam, match=re.escape(f"proposition must be an integer, got {proposition!r}")):
+        ss.verify_proposition(proposition, 2)
+    with pytest.raises(InvalidParam, match="proposition must be 1, 2 or 3, got 0"):
+        ss.verify_proposition(0, 2)
 
 
 def test_report_pass_iff_every_check_passes():

@@ -1,16 +1,19 @@
 import gc
 import random
+import re
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import shortsight as ss
 from shortsight import mdp as mdp_module
-from shortsight.mdp import policy_at_index
+from shortsight.mdp import Behaviour, _place_values, policy_at_index
 from shortsight.observation import _Engine
 from shortsight.sufficiency import _walk_class
 
-from oracle import all_nonstationary_policies, all_stationary_policies, oracle_occupancy
+from oracle import all_nonstationary_policies, all_stationary_policies, oracle_members, oracle_occupancy
 from randmdp import dense_mdp, random_mdp
 
 
@@ -169,6 +172,27 @@ def test_policy_at_index_follows_enumeration_order(stationary):
             policy_at_index(mdp, len(policies), stationary)
 
 
+@pytest.mark.parametrize("index", [2.5, True, "1", None])
+def test_policy_at_index_rejects_an_index_that_is_not_an_integer(index):
+    # Once: 2.5 gave a policy with float action ids and True read as index 1.
+    mdp = two_action_chain()
+    with pytest.raises(ss.InvalidParam, match=re.escape(f"index must be an integer, got {index!r}")):
+        policy_at_index(mdp, index)
+    with pytest.raises(IndexError):
+        policy_at_index(mdp, -1)
+
+
+@pytest.mark.parametrize("stationary", ["no", 1, None])
+def test_class_functions_reject_a_stationary_flag_that_is_not_a_bool(stationary):
+    # Once: "no" sized and enumerated the stationary class.
+    mdp = two_action_chain()
+    message = re.escape(f"stationary must be a bool, got {stationary!r}")
+    with pytest.raises(ss.InvalidParam, match=message):
+        ss.policy_class_size(mdp, stationary)
+    with pytest.raises(ss.InvalidParam, match=message):
+        policy_at_index(mdp, 0, stationary)
+
+
 @pytest.mark.parametrize("stationary", [True, False])
 def test_behaviours_partition_the_class(stationary):
     # Every policy belongs to exactly one behaviour, and every member of a
@@ -193,6 +217,32 @@ def test_behaviours_partition_the_class(stationary):
             assert all(oracle_occupancy(mdp, policies[i]) == carried for i in members)
             seen.extend(members)
         assert sorted(seen) == list(range(total))
+
+
+@st.composite
+def behaviours(draw):
+    """A behaviour over a random mixed-radix class (radices 2-4): some cells
+    free, at most 1024 members, and `first` any index whose free digits are 0."""
+    radices, free, size = [], [], 1
+    for radix, is_free in draw(st.lists(st.tuples(st.integers(2, 4), st.booleans()), max_size=16)):
+        is_free = is_free and size * radix <= 1024
+        size *= radix if is_free else 1
+        radices.append(radix)
+        free.append(is_free)
+    places = _place_values(radices)
+    first = sum(draw(st.integers(0, k - 1)) * w for k, w, f in zip(radices, places, free) if not f)
+    return Behaviour(first, tuple((k, w) for k, w, f in zip(radices, places, free) if f))
+
+
+@given(behaviours())
+def test_members_match_the_digit_sum_at_every_cut(behaviour):
+    # The reference is the digit sum over `itertools.product`; the cuts are
+    # 0, and each of (up to) 64 evenly spaced members m taken as m and m + 1.
+    everything = oracle_members(behaviour.first, behaviour.free, float("inf"))
+    cuts = [0] + [c for m in everything[:: max(1, len(everything) // 64)] + everything[-1:] for c in (m, m + 1)]
+    assert everything == sorted(everything)
+    for below in cuts:
+        assert behaviour.members(below) == everything[: bisect_left(everything, below)]
 
 
 @pytest.mark.parametrize("stationary", [True, False])

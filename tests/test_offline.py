@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import shortsight as ss
 from shortsight import offline
 from shortsight.errors import InvalidParam, ModelMismatch, PolicyMismatch
-from shortsight.serialize import serialize_dataset
+from shortsight.serialize import parse_dataset, serialize_dataset
 
 from conftest import half_behavior
 from oracle import oracle_pick, oracle_sample_dataset, oracle_tally, plain_from_library
@@ -75,6 +76,27 @@ def test_sample_rejects_bad_inputs(prefix3):
     broken = ss.Policy("deterministic", mdp.horizon, ({},) * mdp.horizon, True)
     with pytest.raises(PolicyMismatch):
         ss.sample_dataset(mdp, broken, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "n, seed, message",
+    [
+        (2.5, 1, "n must be an integer, got 2.5"),
+        (True, 1, "n must be an integer, got True"),
+        (0, 1, "n must be >= 1, got 0"),
+        (3, 1.5, "seed must be an integer, got 1.5"),
+        (3, "x", "seed must be an integer, got 'x'"),
+        (3, False, "seed must be an integer, got False"),
+    ],
+)
+def test_sample_rejects_a_count_or_seed_that_is_not_an_integer(prefix3, n, seed, message):
+    # Once: 2.5 raised a raw TypeError, True drew one trajectory, and a float
+    # or str seed gave a dataset that could not be written or read back.
+    mdp, _ = prefix3
+    with pytest.raises(InvalidParam, match=re.escape(message)):
+        ss.sample_dataset(mdp, half_behavior(mdp), n, seed)
+    ds = ss.sample_dataset(mdp, half_behavior(mdp), 3, -7)
+    assert parse_dataset(serialize_dataset(ds)) == ds
 
 
 def test_empirical_prefix_windows_all_identical(prefix3):

@@ -365,6 +365,18 @@ def test_checkers_reject_a_cap_below_one(prefix3, cap):
         ss.verify_proposition(1, 2, cap=cap)
 
 
+@pytest.mark.parametrize("stationary", ["no", 0, None])
+def test_checkers_reject_a_stationary_flag_that_is_not_a_bool(prefix3, stationary):
+    # Once: any truthy value walked the stationary class, any falsy one the
+    # nonstationary class.
+    mdp, model = prefix3
+    message = re.escape(f"stationary must be a bool, got {stationary!r}")
+    with pytest.raises(ss.InvalidParam, match=message):
+        ss.check_sufficiency(mdp, model, stationary)
+    with pytest.raises(ss.InvalidParam, match=message):
+        ss.check_objective_consistency(mdp, 1, stationary)
+
+
 @pytest.mark.parametrize("cap", [True, "10", 2.5, None])
 def test_checkers_reject_a_cap_that_is_not_an_integer(prefix3, cap):
     # Once: True capped the class at one policy, "10" raised a raw
