@@ -95,7 +95,7 @@ class TabularMDP:
         return tuple(s for s in self.nonterminal() if len(self.actions[s]) > 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     """One full episode: T+1 state labels, T action labels, T exact rewards."""
 

@@ -1,15 +1,17 @@
 """Offline dataset simulation: seeded trajectory sampling and empirical
 segment statistics, bridging exact distributions and finite samples.
 
-Reproducibility contract: trajectory i of a dataset is drawn from its own
-Mersenne Twister generator seeded with the string f"{seed}:{i}" (CPython
-seeds strings via SHA-512), so datasets are byte-stable across runs and can
-be partitioned across workers without changing the result. Every initial
-state, action and transition outcome selection consumes exactly one uniform
-draw, resolved by inverse CDF over outcomes in canonical order. Each
-cumulative probability is held as the smallest float not below it, so a draw
-falls below that threshold exactly when it falls below the rational: the same
-draw gives the same outcome as the Fraction inverse CDF.
+Reproducibility contract: trajectory i of a dataset is drawn from a Mersenne
+Twister generator seeded with the string f"{seed}:{i}" (CPython seeds
+strings via SHA-512). One generator is reseeded for each trajectory, which
+gives the same stream as a fresh generator, so datasets are byte-stable
+across runs and can be partitioned across workers without changing the
+result. Every initial state, action and transition outcome selection
+consumes exactly one uniform draw, resolved by inverse CDF over outcomes in
+canonical order. Each cumulative probability is held as the smallest float
+not below it, so a draw falls below that threshold exactly when it falls
+below the rational: the same draw gives the same outcome as the Fraction
+inverse CDF. Equal sampled paths are one shared Trajectory object.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,22 +62,18 @@ class EmpiricalSegmentStats:
 
 
 def _cdf(pairs) -> tuple[list, list[float]]:
-    """Outcomes and exact thresholds for an inverse-CDF draw over (thing,
-    probability) pairs in the given order."""
+    """Outcomes and thresholds for an inverse-CDF draw over (thing,
+    probability) pairs in the given order: a uniform draw x takes
+    `things[bisect_right(cuts, x)]`, the first outcome whose threshold exceeds
+    x. The last outcome has no threshold, so a draw past every other one takes
+    it."""
     things, cuts, acc = [], [], ZERO
     for thing, p in pairs:
         acc += p
         cut = float(acc)  # correctly rounded, so at most one step below acc
         things.append(thing)
         cuts.append(cut if cut >= acc else math.nextafter(cut, 2.0))
-    return things, cuts
-
-
-def _pick(rng: random.Random, table):
-    """The first outcome whose threshold exceeds one uniform draw (the last
-    outcome if none does)."""
-    things, cuts = table
-    return things[min(bisect_right(cuts, rng.random()), len(things) - 1)]
+    return things, cuts[:-1]
 
 
 def sample_dataset(
@@ -88,30 +87,76 @@ def sample_dataset(
     seed = _integer(seed, "seed")
     _require_mdp(mdp)
     _require_policy(mdp, behavior)
+    trajectories = _draw(mdp, behavior, n, seed, random.Random())
+    return OfflineDataset(trajectories, behavior.describe(mdp), seed)
 
-    initial = _cdf((s, p) for s, p in enumerate(mdp.initial) if p > 0)
-    moves = [[_cdf(((s2, r), p) for s2, p, r in row if p > 0) for row in rows] for rows in mdp.transitions]
-    # Behaviour cells (t, s) get their table the first time a draw reaches them.
-    cells = [[None] * mdp.n_states for _ in range(mdp.horizon)]
-    trajectories = []
-    for i in range(n):
-        rng = random.Random(f"{seed}:{i}")
-        s = _pick(rng, initial)
-        states = [mdp.states[s]]
-        actions = []
-        rewards = []
-        for t in range(mdp.horizon):
-            cell = cells[t][s]
-            if cell is None:
-                cell = cells[t][s] = _cdf(((0, ONE),) if s in mdp.terminal else behavior.rows[t][s])
-            a = _pick(rng, cell)
-            s2, r = _pick(rng, moves[s][a])
-            actions.append(mdp.actions[s][a])
+
+def _draw(mdp: TabularMDP, behavior: Policy, n: int, seed: int, rng) -> tuple[Trajectory, ...]:
+    """Trajectories 0..n-1, trajectory i drawn from `rng` reseeded with
+    f"{seed}:{i}".
+
+    A path is held as one integer: its initial state, then one digit in base
+    `width` per step, the slot of the (action, outcome) pair taken. Slot j of
+    state s is its j-th positive-probability pair in canonical order. Each
+    distinct path is decoded into one Trajectory, shared by its repeats.
+    """
+    slots = []  # per state, per slot: (action label, next state, reward)
+    moves = []  # per state, per action: (outcome thresholds, slot ids, next states)
+    for s, rows in enumerate(mdp.transitions):
+        here, per_action = [], []
+        for a, row in enumerate(rows):
+            outcomes, cuts = _cdf(((s2, r), p) for s2, p, r in row if p > 0)
+            ids = range(len(here), len(here) + len(outcomes))
+            per_action.append((cuts, ids, [s2 for s2, _ in outcomes]))
+            here += [(mdp.actions[s][a], s2, r) for s2, r in outcomes]
+        slots.append(here)
+        moves.append(per_action)
+    width = max(map(len, slots))
+    horizon = mdp.horizon
+
+    def step(t: int, s: int):
+        """The table of cell (t, s): action thresholds and, per action, its move."""
+        actions, cuts = _cdf(((0, ONE),) if s in mdp.terminal else behavior.rows[t][s])
+        return cuts, [moves[s][a] for a in actions]
+
+    def decode(key: int) -> Trajectory:
+        digits = []
+        for _ in range(horizon):
+            key, digit = divmod(key, width)
+            digits.append(digit)
+        s = key
+        states, actions, rewards = [mdp.states[s]], [], []
+        for digit in reversed(digits):
+            label, s, r = slots[s][digit]
+            actions.append(label)
             rewards.append(r)
-            states.append(mdp.states[s2])
-            s = s2
-        trajectories.append(Trajectory(tuple(states), tuple(actions), tuple(rewards)))
-    return OfflineDataset(tuple(trajectories), behavior.describe(mdp), seed)
+            states.append(mdp.states[s])
+        return Trajectory(tuple(states), tuple(actions), tuple(rewards))
+
+    initial, initial_cuts = _cdf((s, p) for s, p in enumerate(mdp.initial) if p > 0)
+    # Cells (t, s) get their table the first time a draw reaches them.
+    steps = [[None] * mdp.n_states for _ in range(horizon)]
+    paths: dict[int, Trajectory] = {}
+    trajectories = []
+    reseed, uniform = rng.seed, rng.random
+    for i in range(n):
+        reseed(f"{seed}:{i}")
+        s = key = initial[bisect_right(initial_cuts, uniform())]
+        for t in range(horizon):
+            table = steps[t][s]
+            if table is None:
+                table = steps[t][s] = step(t, s)
+            action_cuts, moves_here = table
+            cuts, ids, nexts = moves_here[bisect_right(action_cuts, uniform())]
+            k = bisect_right(cuts, uniform())
+            key = key * width + ids[k]
+            s = nexts[k]
+        traj = paths.get(key)
+        if traj is None:
+            traj = paths[key] = decode(key)
+        trajectories.append(traj)
+    del paths  # so that the cache and the copy below are never held at once
+    return tuple(trajectories)
 
 
 def _trajectory_key(traj: Trajectory) -> tuple:
@@ -121,6 +166,13 @@ def _trajectory_key(traj: Trajectory) -> tuple:
     return traj.states, traj.actions, tuple(map(id, traj.rewards))
 
 
+def _distinct(trajectories) -> dict[int, Trajectory]:
+    """Each distinct trajectory object by its id, first seen first. A sampled
+    or parsed dataset shares one object per distinct path, so grouping by
+    identity first runs `_trajectory_key` once per path, not per trajectory."""
+    return dict(zip(map(id, trajectories), trajectories))
+
+
 def empirical_segments(dataset: OfflineDataset, model: ObservationModel) -> EmpiricalSegmentStats:
     """Crop every trajectory at every window start and tally observed segments.
 
@@ -128,9 +180,11 @@ def empirical_segments(dataset: OfflineDataset, model: ObservationModel) -> Empi
     once, in first-seen order, and tallied with their count; a group split by
     equal rewards in distinct objects is merged again by the tally.
     """
+    _integer(dataset.n, "dataset.n", 1)  # no trajectories give no frequencies
+    counts = Counter(map(id, dataset.trajectories))
     groups: dict[tuple, list] = {}
-    for traj in dataset.trajectories:
-        groups.setdefault(_trajectory_key(traj), [traj, 0])[1] += 1
+    for i, traj in _distinct(dataset.trajectories).items():
+        groups.setdefault(_trajectory_key(traj), [traj, 0])[1] += counts[i]
     phi = model.phi_map
     tallies: dict[int, dict[ObservedSegment, int]] = {t: {} for t in model.window_starts}
     for traj, count in groups.values():

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .errors import InvalidParam, ParseError, ValidationError
 from .mdp import Policy, TabularMDP, Trajectory, _boolean, _cell, _integer, _policy, build_mdp, validate_mdp, validate_policy
 from .observation import ObservationModel
-from .offline import OfflineDataset, _trajectory_key
+from .offline import OfflineDataset, _distinct, _trajectory_key
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -136,11 +136,12 @@ def _as_str(obj, where):
     return obj
 
 
-def _as_int(obj, where):
+def _as_int(obj, where, low: int | None = None):
     try:
-        return _integer(obj, where)
+        return _integer(obj, where, low)
     except InvalidParam:
-        raise ParseError(f"expected an integer, got {obj!r}", where) from None
+        bound = "" if low is None else f" >= {low}"
+        raise ParseError(f"expected an integer{bound}, got {obj!r}", where) from None
 
 
 def _as_bool(obj, where):
@@ -361,10 +362,11 @@ def parse_policy(text: str, mdp: TabularMDP) -> Policy:
 
 def serialize_dataset(dataset: OfflineDataset) -> str:
     # One record per distinct trajectory, listed again for each repeat, so
-    # the writer renders it once.
+    # the writer renders it once. Trajectories are grouped by object identity
+    # first, then each distinct object by `_trajectory_key`.
     records: dict[tuple, dict] = {}
-    listed = []
-    for traj in dataset.trajectories:
+    by_id = {}
+    for i, traj in _distinct(dataset.trajectories).items():
         key = _trajectory_key(traj)
         record = records.get(key)
         if record is None:
@@ -373,12 +375,12 @@ def serialize_dataset(dataset: OfflineDataset) -> str:
                 "actions": list(traj.actions),
                 "rewards": [format_rational(r) for r in traj.rewards],
             }
-        listed.append(record)
+        by_id[i] = record
     return canonical_json({
         "behavior_id": dataset.behavior_id,
         "seed": dataset.seed,
         "n": dataset.n,
-        "trajectories": listed,
+        "trajectories": list(map(by_id.__getitem__, map(id, dataset.trajectories))),
     })
 
 
@@ -400,7 +402,7 @@ def _record_key(rec) -> tuple | None:
 def parse_dataset(text: str) -> OfflineDataset:
     top = _as_dict(_load_json(text), "document")
     _check_fields(top, "document", required=("behavior_id", "seed", "n", "trajectories"))
-    n = _as_int(top["n"], "n")
+    n = _as_int(top["n"], "n", 1)
     records = _as_list(top["trajectories"], "trajectories")
     if len(records) != n:
         raise ParseError(f"n is {n} but {len(records)} trajectories are present", "n")

@@ -14,7 +14,7 @@ from shortsight.serialize import parse_dataset, serialize_dataset
 
 from conftest import half_behavior
 from oracle import oracle_pick, oracle_sample_dataset, oracle_tally, plain_from_library
-from randmdp import random_mdp, random_model
+from randmdp import dense_mdp, random_mdp, random_model
 
 # Frozen oracle values, recorded before these tests were written:
 #  - exact Binomial(1000, 1/2) central 99% interval: [459, 541]
@@ -289,14 +289,59 @@ def test_sampler_matches_fraction_inverse_cdf(seed, stationary, n):
     assert serialize_dataset(ds) == serialize_dataset(reference)
 
 
+@pytest.mark.parametrize("seed", [5, 2026])
+@pytest.mark.parametrize(
+    "build, repeats",
+    [
+        pytest.param(lambda: ss.build_greedy(3, 10)[0], True, id="greedy-H3"),
+        pytest.param(lambda: dense_mdp(7, 6), False, id="dense"),
+    ],
+)
+def test_sampler_matches_the_oracle_on_repeated_and_distinct_paths(build, repeats, seed):
+    # Greedy H=3 has a handful of paths; the dense MDP has 7 * 14^6, so at
+    # n=3000 nearly every path is distinct.
+    mdp = build()
+    behavior = half_behavior(mdp)
+    ds = ss.sample_dataset(mdp, behavior, 3000, seed)
+    assert ds == oracle_sample_dataset(mdp, behavior, 3000, seed)
+    distinct = len(set(ds.trajectories))
+    assert distinct < 100 if repeats else distinct > 2900
+    # Equal sampled trajectories are one object.
+    assert len(set(map(id, ds.trajectories))) == distinct
+
+
 class _Draws:
-    """A stand-in generator that returns the given floats in order."""
+    """A stand-in generator that returns the given floats in order; reseeding
+    it changes nothing."""
 
     def __init__(self, *xs):
         self.xs = list(xs)
 
+    def seed(self, _):
+        pass
+
     def random(self):
         return self.xs.pop(0)
+
+
+def _picks(pairs, x):
+    """(initial state, action, next state) that the sampler's draw loop takes
+    when every draw is x, on a one-step MDP whose initial distribution,
+    behaviour cell and transitions all follow (thing, probability) `pairs`;
+    each label is `str(thing)`."""
+    labels = [str(thing) for thing, _ in pairs]
+    probs = [p for _, p in pairs]
+    mdp = ss.build_mdp(
+        states=labels,
+        actions={s: labels for s in labels},
+        transitions={(s, a): [(s2, p, 0) for s2, p in zip(labels, probs)] for s in labels for a in labels},
+        horizon=1,
+        initial=dict(zip(labels, probs)),
+    )
+    cell = tuple(enumerate(probs))
+    behavior = ss.Policy("stochastic", 1, ({s: cell for s in range(len(labels))},), True)
+    (traj,) = offline._draw(mdp, behavior, 1, 0, _Draws(x, x, x))
+    return traj.states[0], traj.actions[0], traj.states[1]
 
 
 def _neighbours(x):
@@ -318,31 +363,31 @@ def _neighbours(x):
     ],
 )
 def test_pick_agrees_with_the_fraction_comparison_at_every_cut(pairs):
-    table = offline._cdf(pairs)
     acc = Fraction(0)
     for _, p in pairs:
         acc += p
         for x in _neighbours(float(acc)):
-            assert offline._pick(_Draws(x), table) == oracle_pick(_Draws(x), pairs), x
+            assert _picks(pairs, x) == (str(oracle_pick(_Draws(x), pairs)),) * 3, x
 
 
 def test_pick_boundary_draws():
-    half = offline._cdf((("lo", Fraction(1, 2)), ("hi", Fraction(1, 2))))
-    assert offline._pick(_Draws(0.5), half) == "hi"
-    assert offline._pick(_Draws(math.nextafter(0.5, 0.0)), half) == "lo"
+    half = (("lo", Fraction(1, 2)), ("hi", Fraction(1, 2)))
+    assert _picks(half, 0.5) == ("hi",) * 3
+    assert _picks(half, math.nextafter(0.5, 0.0)) == ("lo",) * 3
     top = 1 - Fraction(1, 2**53)
-    edge = offline._cdf((("lo", top), ("hi", 1 - top)))
-    assert offline._pick(_Draws(float(top)), edge) == "hi"
-    assert offline._pick(_Draws(math.nextafter(float(top), 0.0)), edge) == "lo"
+    edge = (("lo", top), ("hi", 1 - top))
+    assert _picks(edge, float(top)) == ("hi",) * 3
+    assert _picks(edge, math.nextafter(float(top), 0.0)) == ("lo",) * 3
     # A float just above 1/5 but below the next multiple of 2^-53: a threshold
     # rounded up to a multiple of 2^-53 would wrongly put it below the cut.
     fifth = Fraction(1, 5)
     x = math.nextafter(float(fifth), 1.0)
     assert fifth < x < Fraction(math.ceil(fifth * 2**53), 2**53)
-    assert offline._pick(_Draws(x), offline._cdf((("lo", fifth), ("hi", 1 - fifth)))) == "hi"
+    assert _picks((("lo", fifth), ("hi", 1 - fifth)), x) == ("hi",) * 3
     # A draw past every threshold takes the last outcome, as the oracle does.
     short = (("lo", Fraction(1, 4)), ("hi", Fraction(1, 4)))
-    assert offline._pick(_Draws(0.75), offline._cdf(short)) == oracle_pick(_Draws(0.75), short) == "hi"
+    assert _picks(short, 0.75) == ("hi",) * 3
+    assert oracle_pick(_Draws(0.75), short) == "hi"
 
 
 def _with_fresh_rewards(traj):
@@ -382,3 +427,38 @@ def test_first_offending_trajectory_is_reported_after_repeats(prefix3):
         with pytest.raises(ModelMismatch) as exc:
             ss.empirical_segments(ds, model)
         assert str(exc.value) == message
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_grouping_does_not_depend_on_which_equal_objects_repeat(seed):
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=5)
+    model = random_model(rng, mdp)
+    shared = ss.sample_dataset(mdp, half_behavior(mdp), rng.randint(1, 80), seed)
+    # The same trajectories, each position the shared object, a fresh equal
+    # copy, or a copy made earlier for the same object.
+    copies: dict[int, list] = {}
+    mixed = []
+    for traj in shared.trajectories:
+        made = copies.setdefault(id(traj), [])
+        kind = rng.randrange(3)
+        if kind == 0:
+            mixed.append(traj)
+        elif kind == 1 or not made:
+            made.append(_with_fresh_rewards(traj))
+            mixed.append(made[-1])
+        else:
+            mixed.append(rng.choice(made))
+    equal = ss.OfflineDataset(tuple(mixed), shared.behavior_id, shared.seed)
+    assert equal == shared
+    assert serialize_dataset(equal) == serialize_dataset(shared)
+    assert ss.empirical_segments(equal, model) == ss.empirical_segments(shared, model)
+
+
+def test_an_empty_dataset_has_no_segment_frequencies(prefix3):
+    # Once: an empty dataset was tallied, and its TV distance read 1/2 at
+    # every start.
+    _, model = prefix3
+    with pytest.raises(InvalidParam, match=re.escape("dataset.n must be >= 1, got 0")):
+        ss.empirical_segments(ss.OfflineDataset((), "b", 0), model)

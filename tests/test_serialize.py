@@ -327,6 +327,7 @@ def _doc_cases():
         ("policy", put(["rows", 0, "ghost"], {"L": "1"}), "rows[0]", "unknown state 'ghost'"),
         ("policy", put(["rows", 0, "s0"], {"X": "1"}), "rows[0][s0]", "state 's0' has no action 'X'"),
         ("dataset", put(["behavior_id"], 5), "behavior_id", "expected a string, got int"),
+        ("dataset", lambda doc: doc.update(n=0, trajectories=[]), "n", "expected an integer >= 1, got 0"),
         ("dataset", put(["trajectories", 0, "states", 1], 3), "trajectories[0].states[1]", "expected a string, got int"),
         ("dataset", put(["trajectories", 0, "actions"], "L"), "trajectories[0].actions", "expected an array, got str"),
         ("dataset", put(["trajectories", 0, "actions", 2], None), "trajectories[0].actions[2]", "expected a string, got NoneType"),
