@@ -246,11 +246,11 @@ def _verify_commit(proposition: int, spec: CounterexampleSpec, cap: int) -> Prop
     if proposition == 1:
         noun, view = "commit", "the L and R commitments"
         remedy = "a window covering the initial action"
-        control = replace(model, window_starts=tuple(sorted({0, *model.window_starts})))
+        control = replace(model, window_starts=(0, *model.window_starts))
     else:
         noun, view = "branch", "the aliased feature map"
         remedy = "the identity feature map"
-        control = replace(model, phi=tuple(sorted(identity_phi(mdp).items())))
+        control = replace(model, phi=identity_phi(mdp))
     pol_l, pol_r = commit_policies(mdp)
     dist_l = segment_distribution(mdp, pol_l, model)
     dist_r = segment_distribution(mdp, pol_r, model)

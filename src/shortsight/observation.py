@@ -36,28 +36,35 @@ from .mdp import Behaviour, Policy, TabularMDP, Trajectory, _boolean, _integer, 
 
 @dataclass(frozen=True)
 class ObservationModel:
+    """The windowed interface: window length, window starts, feature map and
+    what a window shows besides features.
+
+    A model is canonical whatever builds it (the constructor, `make`,
+    `dataclasses.replace`, `coarsen` or `parse_model`): `window_starts` are
+    sorted and unique, and `phi`, given as a mapping or as pairs, is held as
+    (state label, feature) string pairs sorted by label, one per label (the
+    last, as `dict` reads pairs). So two models are equal iff they describe
+    the same interface.
+    """
+
     window_length: int
     window_starts: tuple[int, ...]
     phi: tuple[tuple[str, str], ...]  # sorted (state label, feature) pairs
     observe_actions: bool = True
     observe_rewards: bool = True
 
-    @classmethod
-    def make(
-        cls,
-        window_length: int,
-        window_starts,
-        phi: Mapping[str, str],
-        observe_actions: bool = True,
-        observe_rewards: bool = True,
-    ) -> "ObservationModel":
-        return cls(
-            window_length=_integer(window_length, "window_length"),
-            window_starts=tuple(sorted({_integer(t, "window_starts") for t in window_starts})),
-            phi=tuple(sorted((str(s), str(f)) for s, f in phi.items())),
-            observe_actions=_boolean(observe_actions, "observe_actions"),
-            observe_rewards=_boolean(observe_rewards, "observe_rewards"),
-        )
+    def __post_init__(self):
+        pairs = self.phi.items() if isinstance(self.phi, Mapping) else self.phi
+        for name, value in (
+            ("window_length", _integer(self.window_length, "window_length")),
+            ("window_starts", tuple(sorted({_integer(t, "window_starts") for t in self.window_starts}))),
+            ("phi", tuple(sorted({str(s): str(f) for s, f in pairs}.items()))),
+            ("observe_actions", _boolean(self.observe_actions, "observe_actions")),
+            ("observe_rewards", _boolean(self.observe_rewards, "observe_rewards")),
+        ):
+            object.__setattr__(self, name, value)
+
+    make = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))  # the constructor, by its older name
 
     @property
     def phi_map(self) -> dict[str, str]:
@@ -76,8 +83,7 @@ def all_window_starts(mdp: TabularMDP, window_length: int) -> tuple[int, ...]:
 
 def coarsen(model: ObservationModel, merge: Mapping[str, str]) -> ObservationModel:
     """Compose the feature map with `merge` (features absent from `merge` pass through)."""
-    phi = {s: merge.get(f, f) for s, f in model.phi}
-    return replace(model, phi=tuple(sorted(phi.items())))
+    return replace(model, phi={s: merge.get(f, f) for s, f in model.phi})
 
 
 def validate_model(mdp: TabularMDP, model: ObservationModel) -> list[str]:
@@ -103,21 +109,14 @@ def validate_model(mdp: TabularMDP, model: ObservationModel) -> list[str]:
     return problems
 
 
-def _require_mdp(mdp: TabularMDP) -> None:
-    problems = validate_mdp(mdp)
-    if problems:
+def _require(mdp: TabularMDP, model: ObservationModel | None = None, policy: Policy | None = None) -> None:
+    """The one entry check of a public call: the MDP, then the model and the
+    policy when given, each refused with its own error type."""
+    if problems := validate_mdp(mdp):
         raise InvalidParam("; ".join(problems))
-
-
-def _require_model(mdp: TabularMDP, model: ObservationModel) -> None:
-    problems = validate_model(mdp, model)
-    if problems:
+    if model is not None and (problems := validate_model(mdp, model)):
         raise ModelMismatch("; ".join(problems))
-
-
-def _require_policy(mdp: TabularMDP, policy: Policy) -> None:
-    problems = validate_policy(mdp, policy)
-    if problems:
+    if policy is not None and (problems := validate_policy(mdp, policy)):
         raise PolicyMismatch("; ".join(problems))
 
 
@@ -160,7 +159,7 @@ class SegmentDistribution:
 
 def observe(mdp: TabularMDP, trajectory: Trajectory, model: ObservationModel) -> list[ObservedSegment]:
     """Crop one trajectory into its observable segments, one per window start."""
-    _require_model(mdp, model)
+    _require(mdp, model)
     _check_trajectory(mdp, trajectory)
     phi = model.phi_map
     return [_crop(trajectory, model, phi, t0) for t0 in model.window_starts]
@@ -348,7 +347,7 @@ class _Engine:
     def _windows(self, dists, cells) -> tuple[tuple[tuple[int, int], ...], ...]:
         n, nsym, kids, child = self.mdp.n_states, self.nsym, self.kids, self._child
         tables = []
-        for t0 in sorted(self.model.window_starts):
+        for t0 in self.model.window_starts:
             # Keys pack (segment id, state) as seg * n + state.
             frontier = {child(0, self.root[s]) * n + s: m for s, m in dists[t0].items()}
             for here in cells[t0 : t0 + self.model.window_length]:
@@ -398,10 +397,7 @@ class _Engine:
 def _engine_for(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> _Engine:
     """The engine for a caller's policy; the MDP, the model if given and the
     policy are checked here once. den_pi is the lcm of its cell denominators."""
-    _require_mdp(mdp)
-    if model is not None:
-        _require_model(mdp, model)
-    _require_policy(mdp, policy)
+    _require(mdp, model, policy)
     rows = {id(row): row for row in policy.rows}.values()
     return _Engine(mdp, model, lcm(*(q.denominator for row in rows for cell in row.values() for _, q in cell)))
 
@@ -420,7 +416,7 @@ def segment_distribution(
     engine = _engine_for(mdp, policy, model)
     _, _, tables = engine.evaluate(policy)
     per_start = []
-    for t0, table in zip(sorted(model.window_starts), tables):
+    for t0, table in zip(model.window_starts, tables):
         den = engine.d0 * engine.step ** (t0 + model.window_length)
         items = ((engine.segment(t0, seg), Fraction(m, den)) for seg, m in table)
         per_start.append((t0, tuple(sorted(items, key=lambda kv: kv[0].sort_key()))))

@@ -11,7 +11,8 @@ consumes exactly one uniform draw, resolved by inverse CDF over outcomes in
 canonical order. Each cumulative probability is held as the smallest float
 not below it, so a draw falls below that threshold exactly when it falls
 below the rational: the same draw gives the same outcome as the Fraction
-inverse CDF. Equal sampled paths are one shared Trajectory object.
+inverse CDF. Equal sampled paths are one shared Trajectory object, and
+downstream code groups trajectories by object identity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .errors import ModelMismatch
 from .mdp import ONE, ZERO, Policy, TabularMDP, Trajectory, _integer
-from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop, _require_mdp, _require_policy
+from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop, _require
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ def sample_dataset(
     """Draw n independent trajectories under the behavior policy."""
     n = _integer(n, "n", 1)
     seed = _integer(seed, "seed")
-    _require_mdp(mdp)
-    _require_policy(mdp, behavior)
+    _require(mdp, policy=behavior)
     trajectories = _draw(mdp, behavior, n, seed, random.Random())
     return OfflineDataset(trajectories, behavior.describe(mdp), seed)
 
@@ -159,35 +159,27 @@ def _draw(mdp: TabularMDP, behavior: Policy, n: int, seed: int, rng) -> tuple[Tr
     return tuple(trajectories)
 
 
-def _trajectory_key(traj: Trajectory) -> tuple:
-    """The one grouping key for equal trajectories: their labels and the
-    identity of their reward objects. No reward is hashed per trajectory;
-    equal rewards in distinct objects only split a group."""
-    return traj.states, traj.actions, tuple(map(id, traj.rewards))
-
-
-def _distinct(trajectories) -> dict[int, Trajectory]:
-    """Each distinct trajectory object by its id, first seen first. A sampled
-    or parsed dataset shares one object per distinct path, so grouping by
-    identity first runs `_trajectory_key` once per path, not per trajectory."""
-    return dict(zip(map(id, trajectories), trajectories))
+def _distinct(trajectories) -> dict[int, list]:
+    """The one grouping of trajectories: [trajectory, count] per distinct
+    object, by its id, first seen first. A sampled or parsed dataset shares
+    one object per distinct path. Equal paths held in distinct objects are
+    handled apart: they give the same bytes and tallies, with the work done
+    once per object."""
+    objects = dict(zip(map(id, trajectories), trajectories))
+    return {i: [objects[i], count] for i, count in Counter(map(id, trajectories)).items()}
 
 
 def empirical_segments(dataset: OfflineDataset, model: ObservationModel) -> EmpiricalSegmentStats:
     """Crop every trajectory at every window start and tally observed segments.
 
-    Equal trajectories (grouped by `_trajectory_key`) are checked and cropped
-    once, in first-seen order, and tallied with their count; a group split by
-    equal rewards in distinct objects is merged again by the tally.
+    Trajectories are grouped by object identity: each distinct object is
+    checked and cropped once, in first-seen order, and tallied with its
+    count; equal paths in distinct objects meet again in the tally.
     """
     _integer(dataset.n, "dataset.n", 1)  # no trajectories give no frequencies
-    counts = Counter(map(id, dataset.trajectories))
-    groups: dict[tuple, list] = {}
-    for i, traj in _distinct(dataset.trajectories).items():
-        groups.setdefault(_trajectory_key(traj), [traj, 0])[1] += counts[i]
     phi = model.phi_map
     tallies: dict[int, dict[ObservedSegment, int]] = {t: {} for t in model.window_starts}
-    for traj, count in groups.values():
+    for traj, count in _distinct(dataset.trajectories).values():
         if any(t0 + model.window_length > len(traj.states) - 1 for t0 in model.window_starts):
             raise ModelMismatch(
                 f"window start out of range for a trajectory of {len(traj.states) - 1} steps"
@@ -200,8 +192,7 @@ def empirical_segments(dataset: OfflineDataset, model: ObservationModel) -> Empi
             table = tallies[t0]
             table[seg] = table.get(seg, 0) + count
     per_start = tuple(
-        (t0, tuple(sorted(tallies[t0].items(), key=lambda kv: kv[0].sort_key())))
-        for t0 in sorted(model.window_starts)
+        (t0, tuple(sorted(table.items(), key=lambda kv: kv[0].sort_key()))) for t0, table in tallies.items()
     )
     return EmpiricalSegmentStats(model, dataset.n, per_start)
 

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .errors import InvalidParam, ParseError, ValidationError
 from .mdp import Policy, TabularMDP, Trajectory, _boolean, _cell, _integer, _policy, build_mdp, validate_mdp, validate_policy
 from .observation import ObservationModel
-from .offline import OfflineDataset, _distinct, _trajectory_key
+from .offline import OfflineDataset, _distinct
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -361,21 +361,17 @@ def parse_policy(text: str, mdp: TabularMDP) -> Policy:
 
 
 def serialize_dataset(dataset: OfflineDataset) -> str:
-    # One record per distinct trajectory, listed again for each repeat, so
-    # the writer renders it once. Trajectories are grouped by object identity
-    # first, then each distinct object by `_trajectory_key`.
-    records: dict[tuple, dict] = {}
-    by_id = {}
-    for i, traj in _distinct(dataset.trajectories).items():
-        key = _trajectory_key(traj)
-        record = records.get(key)
-        if record is None:
-            record = records[key] = {
-                "states": list(traj.states),
-                "actions": list(traj.actions),
-                "rewards": [format_rational(r) for r in traj.rewards],
-            }
-        by_id[i] = record
+    # One record per distinct trajectory object, listed again for each
+    # repeat, so the writer renders it once. Trajectories are grouped by
+    # object identity.
+    by_id = {
+        i: {
+            "states": list(traj.states),
+            "actions": list(traj.actions),
+            "rewards": [format_rational(r) for r in traj.rewards],
+        }
+        for i, (traj, _) in _distinct(dataset.trajectories).items()
+    }
     return canonical_json({
         "behavior_id": dataset.behavior_id,
         "seed": dataset.seed,

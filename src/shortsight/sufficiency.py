@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .evaluate import _kept_steps
 from .mdp import Behaviour, Policy, TabularMDP, _integer, policy_at_index, policy_cells, policy_class_size
-from .observation import ObservationModel, _Engine, _require_mdp, _require_model
+from .observation import ObservationModel, _Engine, _require
 
 DEFAULT_CAP = 10**6
 
@@ -113,8 +113,7 @@ def check_sufficiency(
     pair (i, j) in enumeration order: i the smallest index in its bucket, j
     the smallest index there whose return differs.
     """
-    _require_mdp(mdp)
-    _require_model(mdp, model)
+    _require(mdp, model)
     require_cap(cap)
     pclass = _policy_class(mdp, stationary, cap)
     engine = _Engine(mdp, model)
@@ -157,7 +156,7 @@ def check_objective_consistency(
     the comparison signs coincide, which is checked by grouping on
     truncated values.
     """
-    _require_mdp(mdp)
+    _require(mdp)
     keep = _kept_steps(mdp, last_step)
     require_cap(cap)
     pclass = _policy_class(mdp, stationary, cap)

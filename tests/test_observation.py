@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -302,3 +303,35 @@ def test_model_make_accepts_ints_and_bools():
     model = ss.ObservationModel.make(2, [1, 0, 1], {"a": "b"}, observe_actions=False, observe_rewards=True)
     assert (model.window_length, model.window_starts) == (2, (0, 1))
     assert (model.observe_actions, model.observe_rewards) == (False, True)
+
+
+def test_a_model_is_canonical_whatever_builds_it():
+    # Once: the constructor and `replace` kept starts as given, so
+    # ObservationModel(2, (1, 1, 0), phi) passed validation and counted
+    # start 1 twice downstream.
+    _, model = ss.build_greedy(2, 20)
+    canonical = ss.ObservationModel.make(2, (0, 1), model.phi_map)
+    assert ss.ObservationModel(2, (1, 1, 0), model.phi) == canonical
+    assert ss.ObservationModel(2, [1, 0], tuple(reversed(model.phi))) == canonical
+    assert dataclasses.replace(canonical, window_starts=(1, 1, 0)) == canonical
+    assert dataclasses.replace(canonical, phi=model.phi_map) == canonical
+    assert canonical.window_starts == (0, 1) and canonical.phi == model.phi
+
+
+def test_observe_refuses_an_mdp_with_a_missing_actions_table(prefix3):
+    # Once: observe was the one public call on an MDP that did not check it,
+    # and this MDP raised a raw IndexError.
+    mdp, model = prefix3
+    pol_l, _ = ss.commit_policies(mdp)
+    traj = one_trajectory(mdp, pol_l)
+    with pytest.raises(ss.InvalidParam, match="do not cover every state"):
+        ss.observe(dataclasses.replace(mdp, actions=()), traj, model)
+
+
+def test_observe_refuses_an_mdp_whose_probabilities_do_not_sum_to_one():
+    # Once: observe accepted this MDP silently.
+    mdp = ss.build_mdp(["a", "b"], {"a": ["x"]}, {("a", "x"): [("b", Fraction(1, 2), 1)]}, 1, {"a": 1}, ["b"])
+    model = ss.ObservationModel.make(1, (0,), ss.identity_phi(mdp))
+    traj = ss.Trajectory(("a", "b"), ("x",), (Fraction(1),))
+    with pytest.raises(ss.InvalidParam, match=r"\(a, x\) sum to 1/2"):
+        ss.observe(mdp, traj, model)

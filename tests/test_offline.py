@@ -462,3 +462,22 @@ def test_an_empty_dataset_has_no_segment_frequencies(prefix3):
     _, model = prefix3
     with pytest.raises(InvalidParam, match=re.escape("dataset.n must be >= 1, got 0")):
         ss.empirical_segments(ss.OfflineDataset((), "b", 0), model)
+
+
+def test_duplicate_and_unordered_starts_are_tallied_once_per_start():
+    # Once: with window starts (1, 1, 0), start 1 tallied 400 segments of
+    # 200 trajectories and its TV distance read 1/2.
+    mdp, model = ss.build_greedy(2, 20)
+    behavior = half_behavior(mdp)
+    raw = ss.ObservationModel(2, (1, 1, 0), model.phi)
+    canonical = ss.ObservationModel.make(2, (0, 1), model.phi_map)
+    ds = ss.sample_dataset(mdp, behavior, 200, 0)
+    stats = ss.empirical_segments(ds, raw)
+    assert {t: sum(c for _, c in items) for t, items in stats.per_start} == {0: 200, 1: 200}
+    exact = ss.segment_distribution(mdp, behavior, canonical)
+    tv = ss.tv_distance(ss.empirical_segments(ds, canonical), exact)
+    assert ss.tv_distance(stats, exact) == tv == {0: Fraction(3, 40), 1: Fraction(3, 40)}
+    # Equal models built in different orders are one model: no ModelMismatch.
+    reordered = ss.ObservationModel(2, (1, 0), tuple(reversed(model.phi)))
+    assert ss.distributions_equal(exact, ss.segment_distribution(mdp, behavior, reordered))
+    assert ss.tv_distance(ss.empirical_segments(ds, reordered), exact) == tv
