@@ -9,16 +9,17 @@ one normalized distribution per window start, with no sampling involved.
 One private integer engine, compiled by each public call for its (MDP,
 model), does that work and the forward pass behind `evaluate` and the
 checkers. Its one forward DP is a depth-first walk over a policy class that
-advances the occupancy one step per node and yields one leaf per behaviour;
-a single policy is a class of one, walked to its one leaf. The engine
-interns features, action labels (by label, so one label at two states is one
-id) and reward values as small ints, and a segment is an id in a trie over
-per-step symbols, so the DPs key on ints. Mass at time t is an int over
-D0 * (D * Dpi)**t, where D0, D and Dpi are the lcms of the initial,
-transition and policy-cell denominators (Dpi = 1 for deterministic
-policies). That denominator does not depend on the policy, so within a class
-two masses are equal as ints iff they are equal as Fractions; Fractions
-appear only at the public edge.
+advances the occupancy one step per node and yields one leaf per behaviour; a
+single policy is a class of one, walked to its one leaf. A window DP runs
+from a leaf's occupancy and cells, one start at a time, on request. The
+engine interns features, action labels (by label, so one label at two states
+is one id) and reward values as small ints, and a segment is an id in a trie
+over per-step symbols, so the DPs key on ints; each id is labelled once, from
+its parent's label. Mass at time t is an int over D0 * (D * Dpi)**t, where
+D0, D and Dpi are the lcms of the initial, transition and policy-cell
+denominators (Dpi = 1 for deterministic policies). That denominator does not
+depend on the policy, so within a class two masses are equal as ints iff they
+are equal as Fractions; Fractions appear only at the public edge.
 """
 
 from __future__ import annotations
@@ -309,14 +310,14 @@ class _Engine:
             steps.append(step)
 
     def _leaf(self, behaviour: Behaviour, dists, rewards, steps) -> tuple:
-        """The walk's per-leaf step: (behaviour, occupancy, rewards, tables).
+        """The walk's per-leaf step: (behaviour, occupancy, rewards, cells).
 
         occupancy[t] maps state ids to masses over d0 * step**t; rewards[t],
         the expected reward of step t, is over r_den * d0 * step**(t+1);
-        tables holds, per window start ascending, the (segment id, mass over
-        d0 * step**(start + H)) pairs by id, one window DP each.
+        cells[t] maps each state reached at t to the cell it takes there. A
+        leaf runs no window DP: `window` runs one start's, when asked.
         """
-        return behaviour, tuple(dists), tuple(rewards), self._windows(dists, steps) if self.model else ()
+        return behaviour, tuple(dists), tuple(rewards), tuple(steps)
 
     def evaluate(self, policy: Policy) -> tuple:
         """(occupancy, rewards, tables) of the one leaf of the class of
@@ -330,8 +331,8 @@ class _Engine:
 
         # Cells the policy leaves undefined are never reached: it was checked.
         options = [[cell(s, rows[t][s])] if s in rows[t] else [] for t, s in policy_cells(self.mdp, policy.stationary)]
-        (leaf,) = self.walk(policy.stationary, options)
-        return leaf[1:]
+        ((_, dists, rewards, cells),) = self.walk(policy.stationary, options)
+        return dists, rewards, tuple(self.window(t0, dists, cells) for t0 in (self.model.window_starts if self.model else ()))
 
     def total(self, rewards) -> int:
         """The sum of a leaf's `rewards`, over den(len(rewards))."""
@@ -344,28 +345,28 @@ class _Engine:
         """The denominator of a sum of the first `steps` step rewards."""
         return self.r_den * self.d0 * self.step**steps
 
-    def _windows(self, dists, cells) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def window(self, t0: int, dists, cells) -> tuple[tuple[int, int], ...]:
+        """One window DP: the table at start t0 of a leaf's occupancy and
+        cells (either may be cut short past t0 and t0 + H - 1), as (segment
+        id, mass over d0 * step**(t0 + H)) pairs by id."""
         n, nsym, kids, child = self.mdp.n_states, self.nsym, self.kids, self._child
-        tables = []
-        for t0 in self.model.window_starts:
-            # Keys pack (segment id, state) as seg * n + state.
-            frontier = {child(0, self.root[s]) * n + s: m for s, m in dists[t0].items()}
-            for here in cells[t0 : t0 + self.model.window_length]:
-                nxt: dict[int, int] = {}
-                for key, m in frontier.items():
-                    seg, s = divmod(key, n)
-                    base = seg * nsym
-                    for q, o in here[s]:
-                        mq = m * q
-                        for s2, p, _, sym in o:
-                            k = (kids.get(base + sym) or child(seg, sym)) * n + s2
-                            nxt[k] = nxt.get(k, 0) + mq * p
-                frontier = nxt
-            table: dict[int, int] = {}
+        # Keys pack (segment id, state) as seg * n + state.
+        frontier = {child(0, self.root[s]) * n + s: m for s, m in dists[t0].items()}
+        for here in cells[t0 : t0 + self.model.window_length]:
+            nxt: dict[int, int] = {}
             for key, m in frontier.items():
-                table[key // n] = table.get(key // n, 0) + m
-            tables.append(tuple(sorted(table.items())))
-        return tuple(tables)
+                seg, s = divmod(key, n)
+                base = seg * nsym
+                for q, o in here[s]:
+                    mq = m * q
+                    for s2, p, _, sym in o:
+                        k = (kids.get(base + sym) or child(seg, sym)) * n + s2
+                        nxt[k] = nxt.get(k, 0) + mq * p
+            frontier = nxt
+        table: dict[int, int] = {}
+        for key, m in frontier.items():
+            table[key // n] = table.get(key // n, 0) + m
+        return tuple(sorted(table.items()))
 
     def _child(self, seg: int, sym: int) -> int:
         """The id of segment `seg` extended by step symbol `sym`."""
@@ -377,21 +378,22 @@ class _Engine:
             self.sym.append(sym)
         return kid
 
-    def segment(self, t0: int, seg: int) -> ObservedSegment:
-        """The labelled form of segment id `seg` in the window starting at t0."""
-        syms = []
-        while seg:
-            syms.append(self.sym[seg])
-            seg = self.parent[seg]
-        # (action label id, reward id), feature id per symbol, first to last.
-        steps = [(divmod(sym // self.nf, self.nr), sym % self.nf) for sym in reversed(syms)]
-        model = self.model
-        return ObservedSegment(
-            t0,
-            tuple(self.features[f] for _, f in steps),
-            tuple(self.labels[a] for (a, _), _ in steps[1:]) if model.observe_actions else None,
-            tuple(self.rewards[r] for (_, r), _ in steps[1:]) if model.observe_rewards else None,
-        )
+    def labelled(self) -> tuple[list, list]:
+        """Every segment id's rank key and label, each its parent's extended by
+        one symbol. A label is (features, action labels, rewards), one of each
+        per symbol (the first symbol's action and reward are the same filler in
+        every segment); a rank key holds their ranks in sorted order, so rank
+        keys order as `ObservedSegment.sort_key` does."""
+        values = fv, av, rv = self.features, self.labels, self.rewards
+        ranks = [dict(zip(sorted(vs), range(len(vs)))) for vs in values]
+        fr, ar, rr = ([rank[v] for v in vs] for rank, vs in zip(ranks, values))
+        keys, labels = [((), (), ())], [((), (), ())]
+        for up, sym in zip(self.parent[1:], self.sym[1:]):
+            (a, r), f = divmod(sym // self.nf, self.nr), sym % self.nf
+            (kf, ka, kr), (lf, la, lr) = keys[up], labels[up]
+            keys.append((kf + (fr[f],), ka + (ar[a],), kr + (rr[r],)))
+            labels.append((lf + (fv[f],), la + (av[a],), lr + (rv[r],)))
+        return keys, labels
 
 
 def _engine_for(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> _Engine:
@@ -415,11 +417,14 @@ def segment_distribution(
     """
     engine = _engine_for(mdp, policy, model)
     _, _, tables = engine.evaluate(policy)
+    keys, labels = engine.labelled()
+    acts, rews = model.observe_actions, model.observe_rewards
     per_start = []
     for t0, table in zip(model.window_starts, tables):
         den = engine.d0 * engine.step ** (t0 + model.window_length)
-        items = ((engine.segment(t0, seg), Fraction(m, den)) for seg, m in table)
-        per_start.append((t0, tuple(sorted(items, key=lambda kv: kv[0].sort_key()))))
+        rows = ((labels[seg], Fraction(m, den)) for seg, m in sorted(table, key=lambda pair: keys[pair[0]]))
+        segs = ((ObservedSegment(t0, f, a[1:] if acts else None, r[1:] if rews else None), p) for (f, a, r), p in rows)
+        per_start.append((t0, tuple(segs)))
     return SegmentDistribution(model=model, policy_id=policy.describe(mdp), per_start=tuple(per_start))
 
 

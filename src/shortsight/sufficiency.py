@@ -95,6 +95,14 @@ def _walk_class(engine: _Engine, stationary: bool, cap: int | None):
     return engine.walk(stationary, [engine.point[s] for _, s in cells], cap)
 
 
+def _refinement_order(starts: tuple[int, ...]) -> tuple[int, ...]:
+    """The window starts in the order `check_sufficiency` refines on: the
+    last (on the inputs measured, it splits the most buckets), then the
+    first, then the rest ascending. Every order gives the same verdict and
+    witness."""
+    return starts[-1:] + starts[:-1]
+
+
 def check_sufficiency(
     mdp: TabularMDP,
     model: ObservationModel,
@@ -105,25 +113,42 @@ def check_sufficiency(
 
     The class is the first `cap` deterministic policies in lexicographic
     order. Policies that agree on every cell the process reaches share one
-    behaviour, one leaf of the integer engine's walk. Behaviours are
-    bucketed by their per-start tables of segment ids and masses, which
+    behaviour, one leaf of the integer engine's walk. A bucket holds the
+    behaviours with equal per-start tables of segment ids and masses, which
     are equal iff their SegmentDistributions are; the interface is
-    sufficient iff every bucket carries a single return value. Otherwise
-    the witness is, as over the policies themselves, the first violating
-    pair (i, j) in enumeration order: i the smallest index in its bucket, j
-    the smallest index there whose return differs.
+    sufficient iff every bucket carries a single return value. Buckets are
+    refined one start's table at a time, in `_refinement_order`, and a bucket
+    with a single return is dropped (it holds no witness), so a start's
+    window DP runs only for the behaviours left, from the occupancy and cells
+    their leaves kept. Otherwise the witness is, as over the policies
+    themselves, the first violating pair (i, j) in enumeration order: i the
+    smallest index in its bucket, j the smallest index there whose return
+    differs.
     """
     _require(mdp, model)
     require_cap(cap)
     pclass = _policy_class(mdp, stationary, cap)
     engine = _Engine(mdp, model)
-    buckets: dict[tuple, list[tuple[int, int]]] = {}
-    for behaviour, _, rewards, tables in _walk_class(engine, stationary, cap):
-        buckets.setdefault(tables, []).append((behaviour.first, engine.total(rewards)))
+    order = _refinement_order(model.window_starts)
+    # The first round splits one bucket, the walk's leaves as they come.
+    leaves = _walk_class(engine, stationary, cap)
+    survivors = [((b.first, engine.total(rewards), dists, cells) for b, dists, rewards, cells in leaves)]
+    for done, t0 in enumerate(order, 1):
+        # A member keeps only the occupancy and cells the starts left read.
+        last = max(order[done:], default=None)
+        d_end, c_end = (0, 0) if last is None else (last + 1, last + model.window_length)
+        parts: dict[tuple, list[tuple]] = {}
+        for k, members in enumerate(survivors):
+            for first, ret, dists, cells in members:
+                key = (k, engine.window(t0, dists, cells))
+                parts.setdefault(key, []).append((first, ret, dists[:d_end], cells[:c_end]))
+        survivors = [members for members in parts.values() if len({ret for _, ret, _, _ in members}) > 1]
+        if not survivors:
+            break
 
     best = None
-    for members in buckets.values():
-        (i, ret_i), *rest = sorted(members)
+    for members in survivors:
+        (i, ret_i), *rest = sorted(member[:2] for member in members)
         for j, ret_j in rest:
             if ret_j != ret_i:
                 if best is None or (i, j) < best[:2]:

@@ -201,6 +201,34 @@ def test_engine_matches_oracle_on_every_view(seed, policy_kind, observe_actions,
     assert list(ss.occupancy(mdp, policy).rows) == oracle_occupancy(mdp, policy)
 
 
+@pytest.mark.parametrize("observe_actions", [True, False])
+@pytest.mark.parametrize("observe_rewards", [True, False])
+def test_segments_come_in_sort_key_order(observe_actions, observe_rewards):
+    # The engine interns "f2" before "f10", action "y" before "x" and
+    # rewards in no value order, so neither id order nor string order of
+    # the ids can stand in for `ObservedSegment.sort_key` order.
+    half = Fraction(1, 2)
+    mdp = ss.build_mdp(
+        states=["s0", "s1", "s2", "s3"],
+        actions={s: ["y", "x"] for s in ["s0", "s1", "s2", "s3"]},
+        transitions={
+            (s, a): [(f"s{(k + shift) % 4}", half, r1), (f"s{(k + shift + 1) % 4}", half, r2)]
+            for k, s in enumerate(["s0", "s1", "s2", "s3"])
+            for a, shift, r1, r2 in (("y", 1, Fraction(3, 2), Fraction(-1)), ("x", 2, Fraction(-3, 2), Fraction(0)))
+        },
+        horizon=4,
+        initial={"s0": 1},
+    )
+    phi = {"s0": "f2", "s1": "f10", "s2": "f2", "s3": "f1"}
+    model = ss.ObservationModel(2, (0, 1, 2), phi, observe_actions, observe_rewards)
+    dist = ss.segment_distribution(mdp, half_behavior(mdp), model)
+    assert plain_from_library(dist) == oracle_segments(mdp, half_behavior(mdp), model)
+    for _, items in dist.per_start:
+        keys = [seg.sort_key() for seg, _ in items]
+        assert len(keys) > 1
+        assert keys == sorted(set(keys))
+
+
 def test_coarsening_preserves_equality():
     # if two policies are indistinguishable under phi, they stay
     # indistinguishable under any g(phi)

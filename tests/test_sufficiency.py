@@ -2,14 +2,14 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shortsight as ss
-from shortsight import observation
+from shortsight import observation, sufficiency
 from shortsight.cli import _describe_policies
 
 from oracle import (
@@ -23,6 +23,7 @@ from oracle import (
     oracle_witness,
 )
 from randmdp import dense_mdp, random_mdp, random_model
+from test_goldens import workloads  # the benchmark's input builders
 
 
 def test_prefix_not_sufficient_with_commit_witness(prefix3):
@@ -318,6 +319,62 @@ def test_checkers_evaluate_behaviours_not_policies(monkeypatch):
     report = ss.check_objective_consistency(mdp, 6)
     assert report.policy_class.enumerated == 8192
     assert calls == {"leaf": 128}
+
+
+def test_window_dps_run_only_where_a_bucket_needs_them(monkeypatch):
+    # The last start's table alone separates all 108 behaviours of this
+    # benchmark input, so no other start's window DP runs. A blind view
+    # keeps every bucket through every round, and still no leaf runs more
+    # than one window DP per start.
+    mdp, model, _ = workloads.random_dense_docs(ss, 0, 7)
+    calls = _count_evaluations(monkeypatch)
+    inner = observation._Engine.window
+
+    def wrapper(*args, **kwargs):
+        calls["window"] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(observation._Engine, "window", wrapper)
+    assert ss.check_sufficiency(mdp, model).sufficient
+    assert calls == {"leaf": 108, "window": 108}
+
+    calls.clear()
+    blind = ss.ObservationModel(model.window_length, model.window_starts, {s: "f" for s in mdp.states}, False, False)
+    assert not ss.check_sufficiency(mdp, blind).sufficient
+    assert calls["leaf"] == 108
+    assert calls["window"] <= calls["leaf"] * len(blind.window_starts)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), stationary=st.booleans(), window=st.integers(1, 4), blind=st.booleans())
+def test_every_refinement_order_gives_the_oracle_verdict(seed, stationary, window, blind):
+    # Refining on one start at a time is exact whatever the order of the
+    # starts: every start of the window is taken (at most 4 here, so at
+    # most 24 orders). A blind view puts every behaviour in one bucket at
+    # every start, so it survives every round whenever returns differ.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=6 if stationary else 3, max_horizon=4)
+    total = ss.policy_class_size(mdp, stationary)
+    assume(total <= 128)
+    model = random_model(rng, mdp)
+    window = min(window, mdp.horizon)
+    model = ss.ObservationModel(
+        window,
+        range(mdp.horizon - window + 1),
+        {s: "f" for s in mdp.states} if blind else model.phi,
+        model.observe_actions and not blind,
+        model.observe_rewards and not blind,
+    )
+    policies = list((all_stationary_policies if stationary else all_nonstationary_policies)(mdp))
+    expected = oracle_witness(mdp, model, policies)
+    for order in permutations(model.window_starts):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sufficiency, "_refinement_order", lambda starts: order)
+            verdict = ss.check_sufficiency(mdp, model, stationary)
+        assert verdict.sufficient == (expected is None)
+        if expected is not None:
+            w = verdict.witness
+            assert (w.index_a, w.index_b, w.return_a, w.return_b) == expected
 
 
 def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
