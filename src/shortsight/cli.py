@@ -5,7 +5,9 @@ command prints one canonical JSON report to stdout (sorted keys, exact
 rational strings, content hashes for file inputs), so identical invocations
 produce byte-identical reports. Exit status: 0 on success or a passing
 verification, 1 when a proposition verification fails, 2 on usage, parse or
-validation errors.
+validation errors. Each input file is read, hashed and parsed by `_load`
+before the next one is opened, and a document error (a file that is not
+UTF-8 included) names its file.
 
 The default policy-enumeration cap is 10**6 and can be overridden with the
 --cap flag or, when the flag is absent, the SHORTSIGHT_POLICY_CAP
@@ -21,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .counterexamples import FAMILIES, CounterexampleSpec, build_counterexample, verify_proposition
-from .errors import InvalidParam, ShortsightError
+from .errors import DocumentError, InvalidParam, ShortsightError
 from .evaluate import full_return, truncated_return
 from .mdp import policy_at_index
 from .observation import segment_distribution
@@ -57,10 +59,16 @@ def _resolve_cap(flag: str | None) -> int:
     return require_cap(cap, source)
 
 
-def _read(path: str) -> tuple[str, dict]:
+def _load(path: str, parse, *context) -> tuple:
+    """One input file, read, hashed, decoded and parsed by `parse(text,
+    *context)`, as (object, input record). A document error names the file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return data.decode("utf-8"), {"path": path, "sha256": sha256_hex(data)}
+    try:
+        obj = parse(data.decode("utf-8"), *context)
+    except (DocumentError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
+    return obj, {"path": path, "sha256": sha256_hex(data)}
 
 
 def _write(path: str, text: str) -> dict:
@@ -109,10 +117,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    mdp_text, mdp_input = _read(args.mdp)
-    policy_text, policy_input = _read(args.policy)
-    mdp = parse_mdp(mdp_text)
-    policy = parse_policy(policy_text, mdp)
+    mdp, mdp_input = _load(args.mdp, parse_mdp)
+    policy, policy_input = _load(args.policy, parse_policy, mdp)
     report = {
         "command": "eval",
         "inputs": {"mdp": mdp_input, "policy": policy_input},
@@ -128,12 +134,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_segdist(args) -> int:
-    mdp_text, mdp_input = _read(args.mdp)
-    policy_text, policy_input = _read(args.policy)
-    model_text, model_input = _read(args.obs)
-    mdp = parse_mdp(mdp_text)
-    policy = parse_policy(policy_text, mdp)
-    model = parse_model(model_text)
+    mdp, mdp_input = _load(args.mdp, parse_mdp)
+    policy, policy_input = _load(args.policy, parse_policy, mdp)
+    model, model_input = _load(args.obs, parse_model)
     dist = segment_distribution(mdp, policy, model)
     per_start = {}
     for start, items in dist.per_start:
@@ -170,10 +173,8 @@ def _witness_doc(witness, mdp) -> dict | None:
 
 
 def _cmd_check(args) -> int:
-    mdp_text, mdp_input = _read(args.mdp)
-    model_text, model_input = _read(args.obs)
-    mdp = parse_mdp(mdp_text)
-    model = parse_model(model_text)
+    mdp, mdp_input = _load(args.mdp, parse_mdp)
+    model, model_input = _load(args.obs, parse_model)
     verdict = check_sufficiency(mdp, model, stationary=not args.nonstationary, cap=args.cap)
     _emit(
         {
@@ -193,8 +194,7 @@ def _describe_policies(mdp, indices, stationary: bool) -> list[str]:
 
 
 def _cmd_ordering(args) -> int:
-    mdp_text, mdp_input = _read(args.mdp)
-    mdp = parse_mdp(mdp_text)
+    mdp, mdp_input = _load(args.mdp, parse_mdp)
     stationary = not args.nonstationary
     report = check_objective_consistency(mdp, args.h, stationary=stationary, cap=args.cap)
     _emit(
@@ -245,10 +245,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    mdp_text, mdp_input = _read(args.mdp)
-    behavior_text, behavior_input = _read(args.behavior)
-    mdp = parse_mdp(mdp_text)
-    behavior = parse_policy(behavior_text, mdp)
+    mdp, mdp_input = _load(args.mdp, parse_mdp)
+    behavior, behavior_input = _load(args.behavior, parse_policy, mdp)
     dataset = sample_dataset(mdp, behavior, args.n, args.seed)
     out = _write(args.output, serialize_dataset(dataset))
     _emit(

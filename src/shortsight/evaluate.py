@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mdp import Policy, TabularMDP, _integer
-from .observation import _engine_for
+from .observation import _evaluate
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,13 @@ class OccupancyTable:
 
 def step_rewards(mdp: TabularMDP, policy: Policy) -> tuple[Fraction, ...]:
     """Exact expected reward collected at each step t = 0..T-1."""
-    engine = _engine_for(mdp, policy)
-    _, rewards, _ = engine.evaluate(policy)
+    engine, _, rewards, _ = _evaluate(mdp, policy)
     return tuple(Fraction(r, engine.den(t + 1)) for t, r in enumerate(rewards))
 
 
 def full_return(mdp: TabularMDP, policy: Policy) -> Fraction:
     """Exact expected episode return of `policy` on `mdp`."""
-    return _return(mdp, policy, mdp.horizon)
+    return _return(mdp, policy, mdp.horizon - 1)
 
 
 def truncated_return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fraction:
@@ -43,7 +42,7 @@ def truncated_return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fractio
     `last_step` is the inclusive index of the final reward term, so a value
     of h keeps h+1 terms; any last_step >= T-1 reproduces the full return.
     """
-    return _return(mdp, policy, _kept_steps(mdp, last_step))
+    return _return(mdp, policy, last_step)
 
 
 def _kept_steps(mdp: TabularMDP, last_step: int) -> int:
@@ -52,16 +51,15 @@ def _kept_steps(mdp: TabularMDP, last_step: int) -> int:
     return min(_integer(last_step, "last_step", 0) + 1, mdp.horizon)
 
 
-def _return(mdp: TabularMDP, policy: Policy, steps: int) -> Fraction:
-    engine = _engine_for(mdp, policy)
-    _, rewards, _ = engine.evaluate(policy)
+def _return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fraction:
+    engine, _, rewards, _ = _evaluate(mdp, policy)
+    steps = _kept_steps(mdp, last_step)
     return Fraction(engine.total(rewards[:steps]), engine.den(steps))
 
 
 def occupancy(mdp: TabularMDP, policy: Policy) -> OccupancyTable:
     """Exact marginal state distribution at every time t = 0..T."""
-    engine = _engine_for(mdp, policy)
-    dists, _, _ = engine.evaluate(policy)
+    engine, dists, _, _ = _evaluate(mdp, policy)
     rows = tuple(
         tuple(Fraction(d.get(s, 0), engine.d0 * engine.step**t) for s in range(mdp.n_states))
         for t, d in enumerate(dists)

@@ -6,17 +6,20 @@ actions and rewards are visible inside windows. `segment_distribution`
 computes the exact probability mass over observable segments for a policy,
 one normalized distribution per window start, with no sampling involved.
 
-One private integer engine, compiled by each public call for its (MDP,
-model), does that work and the forward pass behind `evaluate` and the
-checkers. Its one forward DP is a depth-first walk over a policy class that
-advances the occupancy one step per node and yields one leaf per behaviour; a
-single policy is a class of one, walked to its one leaf. A window DP runs
-from a leaf's occupancy and cells, one start at a time, on request. The
-engine interns features, action labels (by label, so one label at two states
-is one id) and reward values as small ints, and a segment is an id in a trie
-over per-step symbols, so the DPs key on ints; each id is labelled once, from
-its parent's label. Mass at time t is an int over D0 * (D * Dpi)**t, where
-D0, D and Dpi are the lcms of the initial, transition and policy-cell
+One private integer engine does that work and the forward pass behind
+`evaluate` and the checkers. Each public call compiles its own, for its
+(MDP, model), in one of two entries that check the inputs first:
+`_evaluate` here for a single policy, `sufficiency._enter` for a class. Its
+one forward DP is a depth-first walk over a policy class that advances the
+occupancy one step per node and yields one leaf per behaviour; a single
+policy is a class of one, walked to its one leaf. A window DP runs from a
+leaf's occupancy and cells, one start at a time, on request. The engine
+interns features, action labels (by label, so one label at two states is one
+id) and reward values as small ints, and a segment is an id in a trie over
+per-step symbols, so the DPs key on ints; each id is labelled once, from its
+parent's label, and `segment_distribution` orders the labelled segments by
+`ObservedSegment.sort_key`. Mass at time t is an int over D0 * (D * Dpi)**t,
+where D0, D and Dpi are the lcms of the initial, transition and policy-cell
 denominators (Dpi = 1 for deterministic policies). That denominator does not
 depend on the policy, so within a class two masses are equal as ints iff they
 are equal as Fractions; Fractions appear only at the public edge.
@@ -319,21 +322,6 @@ class _Engine:
         """
         return behaviour, tuple(dists), tuple(rewards), tuple(steps)
 
-    def evaluate(self, policy: Policy) -> tuple:
-        """(occupancy, rewards, tables) of the one leaf of the class of
-        `policy` alone. The policy is trusted: callers check it first."""
-        rows, point, outs, den_pi = policy.rows, self.point, self.outs, self.den_pi
-
-        def cell(s, entries):
-            if len(entries) == 1:  # a point mass, as its sum is 1
-                return point[s][entries[0][0]]
-            return tuple((q.numerator * (den_pi // q.denominator), outs[s][a]) for a, q in entries)
-
-        # Cells the policy leaves undefined are never reached: it was checked.
-        options = [[cell(s, rows[t][s])] if s in rows[t] else [] for t, s in policy_cells(self.mdp, policy.stationary)]
-        ((_, dists, rewards, cells),) = self.walk(policy.stationary, options)
-        return dists, rewards, tuple(self.window(t0, dists, cells) for t0 in (self.model.window_starts if self.model else ()))
-
     def total(self, rewards) -> int:
         """The sum of a leaf's `rewards`, over den(len(rewards))."""
         total = 0
@@ -378,30 +366,40 @@ class _Engine:
             self.sym.append(sym)
         return kid
 
-    def labelled(self) -> tuple[list, list]:
-        """Every segment id's rank key and label, each its parent's extended by
-        one symbol. A label is (features, action labels, rewards), one of each
-        per symbol (the first symbol's action and reward are the same filler in
-        every segment); a rank key holds their ranks in sorted order, so rank
-        keys order as `ObservedSegment.sort_key` does."""
-        values = fv, av, rv = self.features, self.labels, self.rewards
-        ranks = [dict(zip(sorted(vs), range(len(vs)))) for vs in values]
-        fr, ar, rr = ([rank[v] for v in vs] for rank, vs in zip(ranks, values))
-        keys, labels = [((), (), ())], [((), (), ())]
+    def labelled(self) -> list:
+        """Every segment id's label, its parent's extended by one symbol: a
+        label is (features, action labels, rewards), one of each per symbol
+        (the first symbol's action and reward are the same filler in every
+        segment)."""
+        fv, av, rv = self.features, self.labels, self.rewards
+        labels = [((), (), ())]
         for up, sym in zip(self.parent[1:], self.sym[1:]):
             (a, r), f = divmod(sym // self.nf, self.nr), sym % self.nf
-            (kf, ka, kr), (lf, la, lr) = keys[up], labels[up]
-            keys.append((kf + (fr[f],), ka + (ar[a],), kr + (rr[r],)))
+            lf, la, lr = labels[up]
             labels.append((lf + (fv[f],), la + (av[a],), lr + (rv[r],)))
-        return keys, labels
+        return labels
 
 
-def _engine_for(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> _Engine:
-    """The engine for a caller's policy; the MDP, the model if given and the
-    policy are checked here once. den_pi is the lcm of its cell denominators."""
+def _evaluate(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> tuple:
+    """The one entry of a single-policy call: the MDP, the model if given and
+    the policy are checked once, and the engine (den_pi the lcm of the
+    policy's cell denominators) walks the class of `policy` alone. Returns
+    (engine, occupancy, rewards, tables), a table per start of `model`."""
     _require(mdp, model, policy)
-    rows = {id(row): row for row in policy.rows}.values()
-    return _Engine(mdp, model, lcm(*(q.denominator for row in rows for cell in row.values() for _, q in cell)))
+    rows = policy.rows
+    den_pi = lcm(*(q.denominator for row in {id(r): r for r in rows}.values() for cell in row.values() for _, q in cell))
+    engine = _Engine(mdp, model, den_pi)
+    point, outs = engine.point, engine.outs
+
+    def cell(s, entries):
+        if len(entries) == 1:  # a point mass, as its sum is 1
+            return point[s][entries[0][0]]
+        return tuple((q.numerator * (den_pi // q.denominator), outs[s][a]) for a, q in entries)
+
+    # Cells the policy leaves undefined are never reached: it was checked.
+    options = [[cell(s, rows[t][s])] if s in rows[t] else [] for t, s in policy_cells(mdp, policy.stationary)]
+    ((_, dists, rewards, cells),) = engine.walk(policy.stationary, options)
+    return engine, dists, rewards, tuple(engine.window(t0, dists, cells) for t0 in (model.window_starts if model else ()))
 
 
 def segment_distribution(
@@ -415,16 +413,15 @@ def segment_distribution(
     as they meet in the same underlying state, so aliasing collapses mass
     exactly where the learner cannot tell trajectories apart.
     """
-    engine = _engine_for(mdp, policy, model)
-    _, _, tables = engine.evaluate(policy)
-    keys, labels = engine.labelled()
+    engine, _, _, tables = _evaluate(mdp, policy, model)
+    labels = engine.labelled()
     acts, rews = model.observe_actions, model.observe_rewards
     per_start = []
     for t0, table in zip(model.window_starts, tables):
         den = engine.d0 * engine.step ** (t0 + model.window_length)
-        rows = ((labels[seg], Fraction(m, den)) for seg, m in sorted(table, key=lambda pair: keys[pair[0]]))
+        rows = ((labels[seg], Fraction(m, den)) for seg, m in table)
         segs = ((ObservedSegment(t0, f, a[1:] if acts else None, r[1:] if rews else None), p) for (f, a, r), p in rows)
-        per_start.append((t0, tuple(segs)))
+        per_start.append((t0, tuple(sorted(segs, key=lambda pair: pair[0].sort_key()))))
     return SegmentDistribution(model=model, policy_id=policy.describe(mdp), per_start=tuple(per_start))
 
 

@@ -116,6 +116,10 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"line {exc.lineno} column {exc.colno} (char {exc.pos})") from None
+    except RecursionError:
+        raise ParseError("nested too deeply", "document") from None
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise ParseError(str(exc), "document") from None
 
 
 def _as_dict(obj, where):

@@ -83,10 +83,15 @@ def require_cap(cap: int, name: str = "cap") -> int:
     return _integer(cap, name, 1)
 
 
-def _policy_class(mdp: TabularMDP, stationary: bool, cap: int) -> PolicyClass:
+def _enter(mdp: TabularMDP, model: ObservationModel | None, stationary: bool, cap: int) -> tuple[PolicyClass, _Engine]:
+    """The one entry of a checker: the MDP and the model if given are
+    checked, then the cap, then the class; returns the class and the engine
+    compiled for (MDP, model)."""
+    _require(mdp, model)
+    require_cap(cap)
     total = policy_class_size(mdp, stationary)
     kind = "deterministic-stationary" if stationary else "deterministic-nonstationary"
-    return PolicyClass(kind, min(total, cap), total, total > cap)
+    return PolicyClass(kind, min(total, cap), total, total > cap), _Engine(mdp, model)
 
 
 def _walk_class(engine: _Engine, stationary: bool, cap: int | None):
@@ -125,10 +130,7 @@ def check_sufficiency(
     smallest index in its bucket, j the smallest index there whose return
     differs.
     """
-    _require(mdp, model)
-    require_cap(cap)
-    pclass = _policy_class(mdp, stationary, cap)
-    engine = _Engine(mdp, model)
+    pclass, engine = _enter(mdp, model, stationary, cap)
     order = _refinement_order(model.window_starts)
     # The first round splits one bucket, the walk's leaves as they come.
     leaves = _walk_class(engine, stationary, cap)
@@ -181,11 +183,8 @@ def check_objective_consistency(
     the comparison signs coincide, which is checked by grouping on
     truncated values.
     """
-    _require(mdp)
+    pclass, engine = _enter(mdp, None, stationary, cap)
     keep = _kept_steps(mdp, last_step)
-    require_cap(cap)
-    pclass = _policy_class(mdp, stationary, cap)
-    engine = _Engine(mdp)
     # Both values are ints over one denominator per objective, so comparing
     # them compares the returns exactly.
     evaluated: list[tuple[int, int, Behaviour]] = []

@@ -213,6 +213,46 @@ def test_malformed_input_is_exit_two_not_a_crash(tmp_path, capsys):
     assert code == 2
 
 
+BAD_FILES = {
+    "syntax": b"{not json",
+    "structure": b"[]",
+    "not-utf8": b"\xff\xfe{}",
+    "deep": b"[" * 100000,
+    "long-int": b"9" * 5000,
+}
+
+FILE_ARGS = [
+    ("eval", "--mdp"), ("eval", "--policy"),
+    ("segdist", "--mdp"), ("segdist", "--policy"), ("segdist", "--obs"),
+    ("check", "--mdp"), ("check", "--obs"),
+    ("ordering", "--mdp"),
+    ("sample", "--mdp"), ("sample", "--behavior"),
+]
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+@pytest.mark.parametrize("command, flag", FILE_ARGS)
+def test_every_bad_input_file_is_named(tmp_path, prefix_files, capsys, command, flag, bad):
+    mdp_path, obs_path = prefix_files
+    mdp = load_mdp(mdp_path)
+    pol_path = write_policy(tmp_path, mdp, half_behavior(mdp), "policy.json")
+    files = {"--mdp": mdp_path, "--obs": obs_path, "--policy": pol_path, "--behavior": pol_path}
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_bytes(BAD_FILES[bad])
+    files[flag] = str(bad_path)
+    argv = {
+        "eval": ["--mdp", files["--mdp"], "--policy", files["--policy"]],
+        "segdist": ["--mdp", files["--mdp"], "--policy", files["--policy"], "--obs", files["--obs"]],
+        "check": ["--mdp", files["--mdp"], "--obs", files["--obs"]],
+        "ordering": ["--mdp", files["--mdp"], "--h", "1"],
+        "sample": ["--mdp", files["--mdp"], "--behavior", files["--behavior"], "--n", "2", "--seed", "0",
+                   "-o", str(tmp_path / "data.json")],
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad_path}: ")
+
+
 def test_usage_error_exit_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys)[0] == 2

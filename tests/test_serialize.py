@@ -357,3 +357,18 @@ def test_parse_errors_are_located(kind, edit, position, message):
         parse(json.dumps(doc))
     assert exc.value.position == position
     assert str(exc.value) == f"{position}: {message}"
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, "9" * 5000], ids=["deep", "long-int"])
+@pytest.mark.parametrize("kind", ["mdp", "model", "policy", "dataset"])
+def test_json_the_decoder_refuses_is_a_parse_error(kind, text):
+    mdp = ss.build_prefix(1)[0]
+    parse = {
+        "mdp": parse_mdp,
+        "model": parse_model,
+        "policy": lambda doc: parse_policy(doc, mdp),
+        "dataset": parse_dataset,
+    }[kind]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == "document"
