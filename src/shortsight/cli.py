@@ -7,7 +7,9 @@ produce byte-identical reports. Exit status: 0 on success or a passing
 verification, 1 when a proposition verification fails, 2 on usage, parse or
 validation errors. Each input file is read, hashed and parsed by `_load`
 before the next one is opened, and a document error (a file that is not
-UTF-8 included) names its file.
+UTF-8 included) names its file. Output files (`gen -o`, `sample -o`) are
+written by `_write` alone, in place over an existing file, which is then cut
+to the new length if it was longer.
 
 The default policy-enumeration cap is 10**6 and can be overridden with the
 --cap flag or, when the flag is absent, the SHORTSIGHT_POLICY_CAP
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -72,9 +75,22 @@ def _load(path: str, parse, *context) -> tuple:
 
 
 def _write(path: str, text: str) -> dict:
+    """Write `text` as UTF-8 over `path` in place and return its output record.
+
+    The file is opened without O_TRUNC: truncating it to 0 would free every
+    block of the old file, which costs tens of ms on a filesystem that
+    discards freed blocks online. Only a regular file longer than the new
+    bytes is cut afterwards, so at most its tail is freed; `/dev/null` and
+    pipes cannot be truncated. A new file gets mode 0o666 & ~umask, as with
+    `open(path, "wb")`, and O_BINARY keeps it binary on Windows.
+    """
     data = text.encode("utf-8")
-    with open(path, "wb") as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        old = os.fstat(fd)
         fh.write(data)
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+            fh.truncate()
     return {"path": path, "sha256": sha256_hex(data)}
 
 

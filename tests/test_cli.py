@@ -1,4 +1,8 @@
+import builtins
+import hashlib
 import json
+import os
+import stat
 
 import pytest
 
@@ -321,3 +325,87 @@ def test_reports_are_deterministic(capsys):
     first = run_cli(capsys, "verify", "--prop", "3", "--H", "3")
     second = run_cli(capsys, "verify", "--prop", "3", "--H", "3")
     assert first == second
+
+
+@pytest.fixture
+def sample_cmd(tmp_path, prefix_files):
+    """argv of a `sample` of n trajectories of the prefix MDP into out_path."""
+    mdp_path, _ = prefix_files
+    mdp = load_mdp(mdp_path)
+    pol_path = write_policy(tmp_path, mdp, half_behavior(mdp), "behavior.json")
+    return lambda n, out_path: [
+        "sample", "--mdp", mdp_path, "--behavior", pol_path, "--n", str(n), "--seed", "5", "-o", str(out_path),
+    ]
+
+
+def test_sample_rewrites_a_longer_then_a_shorter_file(tmp_path, sample_cmd, capsys):
+    # Each rewrite leaves exactly the bytes of a sample into a new path, and
+    # the report hashes the file as written.
+    target = tmp_path / "data.json"
+    target.write_bytes(b"x" * 200000)
+    for n in (20, 3):
+        code, out, _ = run_cli(capsys, *sample_cmd(n, target))
+        assert code == 0
+        fresh = tmp_path / f"fresh-{n}.json"
+        assert run_cli(capsys, *sample_cmd(n, fresh))[0] == 0
+        assert target.read_bytes() == fresh.read_bytes()
+        assert json.loads(out)["output"]["sha256"] == hashlib.sha256(target.read_bytes()).hexdigest()
+
+
+def test_gen_twice_to_one_prefix_leaves_the_same_bytes_and_inodes(tmp_path, capsys):
+    prefix = str(tmp_path / "gr")
+    assert run_cli(capsys, "gen", "greedy", "--H", "3", "--M", "10", "-o", prefix)[0] == 0
+    paths = [tmp_path / "gr.mdp.json", tmp_path / "gr.obs.json"]
+    first = [(p.read_bytes(), p.stat().st_ino) for p in paths]
+    assert run_cli(capsys, "gen", "greedy", "--H", "3", "--M", "10", "-o", prefix)[0] == 0
+    assert [(p.read_bytes(), p.stat().st_ino) for p in paths] == first
+
+
+def test_a_new_output_gets_the_mode_of_open_wb(tmp_path, capsys):
+    old_umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "wb"):
+            pass
+        assert run_cli(capsys, "gen", "prefix", "--H", "2", "-o", str(tmp_path / "px"))[0] == 0
+    finally:
+        os.umask(old_umask)
+    expected = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert stat.S_IMODE((tmp_path / "px.mdp.json").stat().st_mode) == expected
+
+
+def test_sample_to_the_null_device_exits_zero(sample_cmd, capsys):
+    code, out, _ = run_cli(capsys, *sample_cmd(5, os.devnull))
+    assert code == 0
+    assert json.loads(out)["output"]["path"] == os.devnull
+
+
+def test_an_output_that_cannot_be_opened_is_exit_two_naming_it(tmp_path, sample_cmd, capsys):
+    code, out, err = run_cli(capsys, *sample_cmd(5, tmp_path))
+    assert (code, out) == (2, "")
+    assert str(tmp_path) in err
+
+
+def test_outputs_are_written_in_place_not_truncated(tmp_path, capsys, monkeypatch):
+    # Truncating a file to 0 frees all its blocks, which costs tens of ms
+    # per rewrite on a filesystem that discards freed blocks online.
+    opened = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def os_open(path, flags, *args, **kwargs):
+        opened.append((path, flags & os.O_TRUNC != 0))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def py_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append((file, "w" in mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", py_open)
+    prefix = str(tmp_path / "px")
+    for _ in range(2):
+        assert main(["gen", "prefix", "--H", "3", "-o", prefix]) == 0
+    capsys.readouterr()
+    outputs = {f"{prefix}.mdp.json", f"{prefix}.obs.json"}
+    assert outputs <= {str(path) for path, _ in opened}
+    assert [path for path, truncates in opened if truncates] == []
