@@ -16,13 +16,15 @@ policy is a class of one, walked to its one leaf. A window DP runs from a
 leaf's occupancy and cells, one start at a time, on request. The engine
 interns features, action labels (by label, so one label at two states is one
 id) and reward values as small ints, and a segment is an id in a trie over
-per-step symbols, so the DPs key on ints; each id is labelled once, from its
-parent's label, and `segment_distribution` orders the labelled segments by
-`ObservedSegment.sort_key`. Mass at time t is an int over D0 * (D * Dpi)**t,
-where D0, D and Dpi are the lcms of the initial, transition and policy-cell
-denominators (Dpi = 1 for deterministic policies). That denominator does not
-depend on the policy, so within a class two masses are equal as ints iff they
-are equal as Fractions; Fractions appear only at the public edge.
+per-step symbols, so the DPs key on ints; each id is labelled and ranked
+once, from its parent's label and rank, and `segment_distribution` orders the
+labelled segments by `ObservedSegment.sort_key`, compared on the ranks (ints
+in the order of the interned values). Mass at time t is an int over
+D0 * (D * Dpi)**t, where D0, D and Dpi are the lcms of the initial, transition
+and policy-cell denominators (Dpi = 1 for deterministic policies). That
+denominator does not depend on the policy, so within a class two masses are
+equal as ints iff they are equal as Fractions; Fractions appear only at the
+public edge.
 """
 
 from __future__ import annotations
@@ -366,18 +368,31 @@ class _Engine:
             self.sym.append(sym)
         return kid
 
-    def labelled(self) -> list:
-        """Every segment id's label, its parent's extended by one symbol: a
-        label is (features, action labels, rewards), one of each per symbol
-        (the first symbol's action and reward are the same filler in every
-        segment)."""
+    def labelled(self) -> tuple[list, list]:
+        """Every segment id's label and rank, each its parent's extended by
+        one symbol. A label is (features, action labels, rewards), one of
+        each per symbol (the first symbol's action and reward are the same
+        filler in every segment). A rank is three ints: the label's features,
+        action labels and rewards read as digits, each value's digit its
+        `_ranks` entry. So on segments of one length ranks compare as the
+        labels' `ObservedSegment.sort_key`s do."""
         fv, av, rv = self.features, self.labels, self.rewards
-        labels = [((), (), ())]
+        fk, ak, rk = _ranks(fv), _ranks(av), _ranks(rv)
+        nf, na, nr = len(fv), len(av), len(rv)
+        labels, ranks = [((), (), ())], [(0, 0, 0)]
         for up, sym in zip(self.parent[1:], self.sym[1:]):
-            (a, r), f = divmod(sym // self.nf, self.nr), sym % self.nf
+            (a, r), f = divmod(sym // nf, nr), sym % nf
             lf, la, lr = labels[up]
+            kf, ka, kr = ranks[up]
             labels.append((lf + (fv[f],), la + (av[a],), lr + (rv[r],)))
-        return labels
+            ranks.append((kf * nf + fk[f], ka * na + ak[a], kr * nr + rk[r]))
+        return labels, ranks
+
+
+def _ranks(values: list) -> list[int]:
+    """Each of the distinct `values`' rank in Python's order on them."""
+    rank = {v: i for i, v in enumerate(sorted(values))}
+    return [rank[v] for v in values]
 
 
 def _evaluate(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> tuple:
@@ -414,14 +429,14 @@ def segment_distribution(
     exactly where the learner cannot tell trajectories apart.
     """
     engine, _, _, tables = _evaluate(mdp, policy, model)
-    labels = engine.labelled()
+    labels, ranks = engine.labelled()
     acts, rews = model.observe_actions, model.observe_rewards
     per_start = []
     for t0, table in zip(model.window_starts, tables):
         den = engine.d0 * engine.step ** (t0 + model.window_length)
-        rows = ((labels[seg], Fraction(m, den)) for seg, m in table)
+        rows = ((labels[seg], Fraction(m, den)) for seg, m in sorted(table, key=lambda item: ranks[item[0]]))
         segs = ((ObservedSegment(t0, f, a[1:] if acts else None, r[1:] if rews else None), p) for (f, a, r), p in rows)
-        per_start.append((t0, tuple(sorted(segs, key=lambda pair: pair[0].sort_key()))))
+        per_start.append((t0, tuple(segs)))
     return SegmentDistribution(model=model, policy_id=policy.describe(mdp), per_start=tuple(per_start))
 
 

@@ -10,7 +10,9 @@ against the full-horizon ordering.
 Both checkers evaluate behaviours, not policies: policies that agree on every
 (t, state) cell the process reaches share one leaf of the engine's walk,
 which advances the occupancy once per node, and every reported index, count
-and witness is still over policies in lexicographic order.
+and witness is still over policies in lexicographic order. The sufficiency
+check settles what it can on the step rewards each leaf already holds before
+it runs any window DP.
 """
 
 from __future__ import annotations
@@ -102,10 +104,23 @@ def _walk_class(engine: _Engine, stationary: bool, cap: int | None):
 
 def _refinement_order(starts: tuple[int, ...]) -> tuple[int, ...]:
     """The window starts in the order `check_sufficiency` refines on: the
-    last (on the inputs measured, it splits the most buckets), then the
-    first, then the rest ascending. Every order gives the same verdict and
-    witness."""
+    last, then the first, then the rest ascending. Every order gives the
+    same verdict and witness. With rewards hidden, the last start splits
+    the most buckets on the random-dense benchmark inputs (tied with the
+    one before it); on a blind view no start splits any."""
     return starts[-1:] + starts[:-1]
+
+
+def _split(keyed, rest: tuple[int, ...], window_length: int) -> list[list[tuple]]:
+    """One refinement round: bucket (key, member) pairs on the key and keep
+    the buckets that carry two returns. A member (first, return, occupancy,
+    cells) keeps only the occupancy and cells the starts in `rest` read."""
+    last = max(rest, default=None)
+    d_end, c_end = (0, 0) if last is None else (last + 1, last + window_length)
+    parts: dict[tuple, list[tuple]] = {}
+    for key, (first, ret, dists, cells) in keyed:
+        parts.setdefault(key, []).append((first, ret, dists[:d_end], cells[:c_end]))
+    return [members for members in parts.values() if len({ret for _, ret, _, _ in members}) > 1]
 
 
 def check_sufficiency(
@@ -121,32 +136,39 @@ def check_sufficiency(
     behaviour, one leaf of the integer engine's walk. A bucket holds the
     behaviours with equal per-start tables of segment ids and masses, which
     are equal iff their SegmentDistributions are; the interface is
-    sufficient iff every bucket carries a single return value. Buckets are
-    refined one start's table at a time, in `_refinement_order`, and a bucket
-    with a single return is dropped (it holds no witness), so a start's
-    window DP runs only for the behaviours left, from the occupancy and cells
-    their leaves kept. Otherwise the witness is, as over the policies
-    themselves, the first violating pair (i, j) in enumeration order: i the
-    smallest index in its bucket, j the smallest index there whose return
-    differs.
+    sufficient iff every bucket carries a single return value.
+
+    Buckets are refined in rounds, and after each round a bucket with a
+    single return is dropped (it holds no witness). Round 0 runs no window
+    DP: it buckets the walk's leaves on their expected rewards at the steps
+    some window spans when the model shows rewards (on nothing otherwise).
+    That is exact: a table fixes the expected reward of each step its
+    window spans, and every leaf holds it as an int over one denominator
+    per step, so each round-0 bucket is a union of exact buckets. When the
+    windows span every step and show rewards, the tables fix the return,
+    so round 0 settles the verdict ("sufficient") on its own. The later
+    rounds refine the survivors on one start's table at a time, in
+    `_refinement_order`, so a start's window DP runs only for the
+    behaviours left, from the occupancy and cells their leaves kept.
+    Otherwise the witness is, as over the policies themselves, the first
+    violating pair (i, j) in enumeration order: i the smallest index in its
+    bucket, j the smallest index there whose return differs.
     """
     pclass, engine = _enter(mdp, model, stationary, cap)
-    order = _refinement_order(model.window_starts)
-    # The first round splits one bucket, the walk's leaves as they come.
-    leaves = _walk_class(engine, stationary, cap)
-    survivors = [((b.first, engine.total(rewards), dists, cells) for b, dists, rewards, cells in leaves)]
+    H, order = model.window_length, _refinement_order(model.window_starts)
+    seen = sorted({t for t0 in order for t in range(t0, t0 + H)}) if model.observe_rewards else []
+    # Round 0 keys on the rewards of the steps in `seen`; round k on the
+    # table of start order[k - 1].
+    keyed = (
+        (tuple(rewards[t] for t in seen), (b.first, engine.total(rewards), dists, cells))
+        for b, dists, rewards, cells in _walk_class(engine, stationary, cap)
+    )
+    survivors = _split(keyed, order, H)
     for done, t0 in enumerate(order, 1):
-        # A member keeps only the occupancy and cells the starts left read.
-        last = max(order[done:], default=None)
-        d_end, c_end = (0, 0) if last is None else (last + 1, last + model.window_length)
-        parts: dict[tuple, list[tuple]] = {}
-        for k, members in enumerate(survivors):
-            for first, ret, dists, cells in members:
-                key = (k, engine.window(t0, dists, cells))
-                parts.setdefault(key, []).append((first, ret, dists[:d_end], cells[:c_end]))
-        survivors = [members for members in parts.values() if len({ret for _, ret, _, _ in members}) > 1]
         if not survivors:
             break
+        keyed = (((k, engine.window(t0, *m[2:])), m) for k, members in enumerate(survivors) for m in members)
+        survivors = _split(keyed, order[done:], H)
 
     best = None
     for members in survivors:

@@ -229,6 +229,28 @@ def test_segments_come_in_sort_key_order(observe_actions, observe_rewards):
         assert keys == sorted(set(keys))
 
 
+@pytest.mark.parametrize("observe_actions", [True, False])
+@pytest.mark.parametrize("observe_rewards", [True, False])
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_per_start_is_sorted_by_sort_key(observe_actions, observe_rewards, seed):
+    # Segments are sorted on ranks of the interned values; the order must
+    # be `ObservedSegment.sort_key`'s whatever order the engine interned
+    # them in. Features "f7" and "f14" and shuffled action labels make
+    # interning order, string order and numeric order disagree.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=6, max_horizon=4)
+    mdp = dataclasses.replace(
+        mdp, actions=tuple(acts if len(acts) != 2 else tuple(rng.sample(["x", "y"], 2)) for acts in mdp.actions)
+    )
+    model = random_model(rng, mdp)
+    phi = {s: f"f{7 * int(f[1:])}" for s, f in model.phi}
+    model = ss.ObservationModel(model.window_length, model.window_starts, phi, observe_actions, observe_rewards)
+    for _, items in ss.segment_distribution(mdp, half_behavior(mdp), model).per_start:
+        keys = [seg.sort_key() for seg, _ in items]
+        assert keys == sorted(set(keys))
+
+
 def test_coarsening_preserves_equality():
     # if two policies are indistinguishable under phi, they stay
     # indistinguishable under any g(phi)

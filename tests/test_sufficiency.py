@@ -321,13 +321,8 @@ def test_checkers_evaluate_behaviours_not_policies(monkeypatch):
     assert calls == {"leaf": 128}
 
 
-def test_window_dps_run_only_where_a_bucket_needs_them(monkeypatch):
-    # The last start's table alone separates all 108 behaviours of this
-    # benchmark input, so no other start's window DP runs. A blind view
-    # keeps every bucket through every round, and still no leaf runs more
-    # than one window DP per start.
-    mdp, model, _ = workloads.random_dense_docs(ss, 0, 7)
-    calls = _count_evaluations(monkeypatch)
+def _count_windows(monkeypatch, calls):
+    """Count window DPs in `calls` too."""
     inner = observation._Engine.window
 
     def wrapper(*args, **kwargs):
@@ -335,35 +330,82 @@ def test_window_dps_run_only_where_a_bucket_needs_them(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(observation._Engine, "window", wrapper)
+
+
+def test_window_dps_run_only_where_a_bucket_needs_them(monkeypatch):
+    # The windows of these benchmark inputs span every step and show
+    # rewards, so round 0's buckets on step rewards each carry one return
+    # and no window DP runs. With rewards hidden, round 0 is one bucket and
+    # the last start's table alone separates all 108 behaviours. A blind
+    # view keeps every bucket through every round, and still no leaf runs
+    # more than one window DP per start.
+    mdp, model, _ = workloads.random_dense_docs(ss, 0, 7)
+    calls = _count_evaluations(monkeypatch)
+    _count_windows(monkeypatch, calls)
     assert ss.check_sufficiency(mdp, model).sufficient
+    assert calls == {"leaf": 108}
+
+    calls.clear()
+    assert ss.check_sufficiency(*ss.build_greedy(6, 80)).sufficient
+    assert calls == {"leaf": 128}
+
+    calls.clear()
+    hidden = ss.ObservationModel(model.window_length, model.window_starts, model.phi, True, False)
+    assert ss.check_sufficiency(mdp, hidden).sufficient
     assert calls == {"leaf": 108, "window": 108}
 
     calls.clear()
     blind = ss.ObservationModel(model.window_length, model.window_starts, {s: "f" for s in mdp.states}, False, False)
     assert not ss.check_sufficiency(mdp, blind).sufficient
-    assert calls["leaf"] == 108
+    assert calls == {"leaf": 108, "window": 432}
     assert calls["window"] <= calls["leaf"] * len(blind.window_starts)
 
 
-@settings(max_examples=300)
-@given(seed=st.integers(0, 2**32 - 1), stationary=st.booleans(), window=st.integers(1, 4), blind=st.booleans())
-def test_every_refinement_order_gives_the_oracle_verdict(seed, stationary, window, blind):
+def _covering_starts(rng, horizon, window):
+    """A random set of window starts whose windows span every step."""
+    starts = {t for t in range(horizon - window + 1) if rng.random() < 0.5}
+    for t in range(horizon):
+        if not any(t0 <= t < t0 + window for t0 in starts):
+            starts.add(min(t, horizon - window))
+    return starts
+
+
+@settings(max_examples=500)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stationary=st.booleans(),
+    window=st.integers(1, 4),
+    view=st.sampled_from(["every start", "blind", "start subset"]),
+)
+def test_every_refinement_order_gives_the_oracle_verdict(seed, stationary, window, view):
     # Refining on one start at a time is exact whatever the order of the
-    # starts: every start of the window is taken (at most 4 here, so at
-    # most 24 orders). A blind view puts every behaviour in one bucket at
-    # every start, so it survives every round whenever returns differ.
+    # starts (at most 4 here, so at most 24 orders). With every start
+    # taken and rewards shown, round 0 decides alone. So "start subset"
+    # shows rewards at two to four of the starts of a horizon of 3 to 6,
+    # with rewards in {0, 1} so that behaviours tie at the spanned steps
+    # and differ elsewhere: round 0 then leaves mixed buckets for the later
+    # rounds. A blind view puts every behaviour in one bucket at every
+    # start, so it survives every round whenever returns differ.
+    subset = view == "start subset"
     rng = random.Random(seed)
     mdp = random_mdp(rng, max_states=6 if stationary else 3, max_horizon=4)
+    if subset:
+        longer = ss.TabularMDP(mdp.states, mdp.actions, mdp.transitions, mdp.horizon + 2, mdp.initial, mdp.terminal)
+        mdp = _with_rewards(longer, lambda r: Fraction(r > 0))
     total = ss.policy_class_size(mdp, stationary)
-    assume(total <= 128)
+    assume((8 if subset else 1) <= total <= 128)
     model = random_model(rng, mdp)
-    window = min(window, mdp.horizon)
+    window = min(window, mdp.horizon - 2 * subset)
+    starts = range(mdp.horizon - window + 1)
+    if subset:
+        starts = rng.sample(starts, rng.randint(2, min(4, len(starts) - 1)))
+    blind = view == "blind"
     model = ss.ObservationModel(
         window,
-        range(mdp.horizon - window + 1),
+        starts,
         {s: "f" for s in mdp.states} if blind else model.phi,
         model.observe_actions and not blind,
-        model.observe_rewards and not blind,
+        subset or (model.observe_rewards and not blind),
     )
     policies = list((all_stationary_policies if stationary else all_nonstationary_policies)(mdp))
     expected = oracle_witness(mdp, model, policies)
@@ -375,6 +417,29 @@ def test_every_refinement_order_gives_the_oracle_verdict(seed, stationary, windo
         if expected is not None:
             w = verdict.witness
             assert (w.index_a, w.index_b, w.return_a, w.return_b) == expected
+
+
+@pytest.mark.parametrize("stationary", [True, False])
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_windows_spanning_every_step_with_rewards_settle_without_window_dps(stationary, seed):
+    # Tables that show rewards fix the expected reward of every step their
+    # windows span; when the windows span every step, they fix the return,
+    # so no two behaviours with equal tables differ in return.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=6 if stationary else 3, max_horizon=4)
+    assume(ss.policy_class_size(mdp, stationary) <= 128)
+    window = rng.randint(1, mdp.horizon)
+    phi = {s: f"f{rng.randrange(mdp.n_states)}" for s in mdp.states}
+    model = ss.ObservationModel(window, _covering_starts(rng, mdp.horizon, window), phi, rng.random() < 0.5, True)
+    policies = list((all_stationary_policies if stationary else all_nonstationary_policies)(mdp))
+    assert oracle_witness(mdp, model, policies) is None
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _count_windows(mp, calls)
+        verdict = ss.check_sufficiency(mdp, model, stationary)
+    assert verdict.sufficient
+    assert calls["window"] == 0
 
 
 def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
