@@ -252,9 +252,14 @@ class _Engine:
         self.parent, self.sym = [0], [0]
 
     def walk(self, stationary: bool, options: Sequence[Sequence], cap: int | None = None) -> Iterator[tuple]:
-        """Depth-first over a policy class: one `_leaf` per behaviour, by
-        ascending first member in `policy_at_index` order, and with a `cap`
-        only those whose first member is below it.
+        """Depth-first over a policy class: one `_leaf` per behaviour, and
+        with a `cap` only those whose first member is below it.
+
+        Nonstationary leaves come by ascending first member, as a depth's
+        cells are all less significant than the ones decided above it. A
+        stationary walk decides a state's cell where the state is first
+        reached, so a cell decided deeper can be more significant, and
+        stationary leaves need not come in that order.
 
         Cell k of `policy_cells(mdp, stationary)` takes one of `options[k]`:
         every point mass for the deterministic class, one cell for a single

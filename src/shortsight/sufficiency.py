@@ -11,17 +11,21 @@ Both checkers evaluate behaviours, not policies: policies that agree on every
 (t, state) cell the process reaches share one leaf of the engine's walk,
 which advances the occupancy once per node, and every reported index, count
 and witness is still over policies in lexicographic order. The sufficiency
-check settles what it can on the step rewards each leaf already holds before
-it runs any window DP.
+check needs no walk when the model shows rewards and its windows span every
+step, and otherwise settles what it can on the step rewards each leaf
+already holds before it runs any window DP. The ordering check keeps no
+leaf: one pass holds only the maxima, their argmax members and what
+agreement still needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 from .evaluate import _kept_steps
-from .mdp import Behaviour, Policy, TabularMDP, _integer, policy_at_index, policy_cells, policy_class_size
+from .mdp import Policy, TabularMDP, _integer, policy_at_index, policy_cells, policy_class_size
 from .observation import ObservationModel, _Engine, _require
 
 DEFAULT_CAP = 10**6
@@ -132,31 +136,33 @@ def check_sufficiency(
     """Decide whether segment statistics pin down full-horizon returns.
 
     The class is the first `cap` deterministic policies in lexicographic
-    order. Policies that agree on every cell the process reaches share one
-    behaviour, one leaf of the integer engine's walk. A bucket holds the
-    behaviours with equal per-start tables of segment ids and masses, which
-    are equal iff their SegmentDistributions are; the interface is
-    sufficient iff every bucket carries a single return value.
+    order. When the model shows rewards and its windows span every step,
+    the interface is sufficient with no walk: a table fixes the expected
+    reward of each step its window spans, so equal tables fix equal
+    returns. Otherwise policies that agree on every cell the process
+    reaches share one behaviour, one leaf of the integer engine's walk. A
+    bucket holds the behaviours with equal per-start tables of segment ids
+    and masses, which are equal iff their SegmentDistributions are; the
+    interface is sufficient iff every bucket carries a single return value.
 
     Buckets are refined in rounds, and after each round a bucket with a
     single return is dropped (it holds no witness). Round 0 runs no window
     DP: it buckets the walk's leaves on their expected rewards at the steps
     some window spans when the model shows rewards (on nothing otherwise).
-    That is exact: a table fixes the expected reward of each step its
-    window spans, and every leaf holds it as an int over one denominator
-    per step, so each round-0 bucket is a union of exact buckets. When the
-    windows span every step and show rewards, the tables fix the return,
-    so round 0 settles the verdict ("sufficient") on its own. The later
-    rounds refine the survivors on one start's table at a time, in
-    `_refinement_order`, so a start's window DP runs only for the
-    behaviours left, from the occupancy and cells their leaves kept.
-    Otherwise the witness is, as over the policies themselves, the first
+    That is exact for the same reason, and every leaf holds those rewards
+    as ints over one denominator per step, so each round-0 bucket is a
+    union of exact buckets. The later rounds refine the survivors on one
+    start's table at a time, in `_refinement_order`, so a start's window DP
+    runs only for the behaviours left, from the occupancy and cells their
+    leaves kept. The witness is, as over the policies themselves, the first
     violating pair (i, j) in enumeration order: i the smallest index in its
     bucket, j the smallest index there whose return differs.
     """
     pclass, engine = _enter(mdp, model, stationary, cap)
     H, order = model.window_length, _refinement_order(model.window_starts)
     seen = sorted({t for t0 in order for t in range(t0, t0 + H)}) if model.observe_rewards else []
+    if len(seen) == mdp.horizon:
+        return SufficiencyVerdict(True, None, pclass)
     # Round 0 keys on the rewards of the steps in `seen`; round k on the
     # table of start order[k - 1].
     keyed = (
@@ -165,23 +171,18 @@ def check_sufficiency(
     )
     survivors = _split(keyed, order, H)
     for done, t0 in enumerate(order, 1):
-        if not survivors:
-            break
         keyed = (((k, engine.window(t0, *m[2:])), m) for k, members in enumerate(survivors) for m in members)
         survivors = _split(keyed, order[done:], H)
 
-    best = None
+    pairs = []
     for members in survivors:
         (i, ret_i), *rest = sorted(member[:2] for member in members)
-        for j, ret_j in rest:
-            if ret_j != ret_i:
-                if best is None or (i, j) < best[:2]:
-                    best = (i, j, ret_i, ret_j)
-                break
+        j, ret_j = next(member for member in rest if member[1] != ret_i)
+        pairs.append((i, j, ret_i, ret_j))
 
-    if best is None:
+    if not pairs:
         return SufficiencyVerdict(True, None, pclass)
-    i, j, ret_i, ret_j = best
+    i, j, ret_i, ret_j = min(pairs)
     den = engine.den(mdp.horizon)
     witness = Witness(
         i, j, policy_at_index(mdp, i, stationary), policy_at_index(mdp, j, stationary),
@@ -199,42 +200,38 @@ def check_objective_consistency(
     """Compare truncated-return and full-return orderings over the class.
 
     The class is the first `cap` deterministic policies in lexicographic
-    order. Both objectives come from each reached behaviour's leaf of the
-    engine's walk; every member shares them. Argmax sets
-    list policy indices, ascending. The orderings agree iff for every pair
-    the comparison signs coincide, which is checked by grouping on
-    truncated values.
+    order; every member of a behaviour shares its leaf's two objectives.
+    One pass over the leaves keeps, per objective, the running maximum and
+    the member indices at it (argmax sets list them ascending), whether a
+    behaviour is at both maxima, and each truncated value's full value
+    until a truncated tie breaks. The orderings agree iff every pair's
+    comparison signs coincide: iff no tie breaks and the full values rise
+    with the truncated ones.
     """
     pclass, engine = _enter(mdp, None, stationary, cap)
     keep = _kept_steps(mdp, last_step)
-    # Both values are ints over one denominator per objective, so comparing
-    # them compares the returns exactly.
-    evaluated: list[tuple[int, int, Behaviour]] = []
+    # Per objective (truncated, full), as ints over one denominator each so
+    # that comparing them compares the returns exactly: the running maximum
+    # and the members at it.
+    best, argmax, intersects, full_of = [None, None], [[], []], False, {}
     for behaviour, _, rewards, _ in _walk_class(engine, stationary, cap):
-        evaluated.append((engine.total(rewards[:keep]), engine.total(rewards), behaviour))
-
-    best_t = max(trunc for trunc, _, _ in evaluated)
-    best_f = max(full for _, full, _ in evaluated)
-    t_argmax = tuple(sorted(
-        i for trunc, _, b in evaluated if trunc == best_t for i in b.members(cap)
-    ))
-    f_argmax = tuple(sorted(
-        i for _, full, b in evaluated if full == best_f for i in b.members(cap)
-    ))
-    intersects = any(trunc == best_t and full == best_f for trunc, full, _ in evaluated)
-
-    # Members of one behaviour share both values, so scanning behaviours
-    # decides agreement exactly as scanning their policies would: sorted by
-    # truncated value, full values must stay level in a tie and rise across one.
-    order = sorted((trunc, full) for trunc, full, _ in evaluated)
-    agrees = all(f2 == f1 if t2 == t1 else f2 > f1 for (t1, f1), (t2, f2) in zip(order, order[1:]))
+        values = [engine.total(rewards[:keep]), engine.total(rewards)]
+        for k, value in enumerate(values):
+            if best[k] is None or value > best[k]:
+                best[k], argmax[k], intersects = value, [], False
+            if value == best[k]:
+                argmax[k].extend(behaviour.members(cap))
+        intersects = intersects or values == best
+        if full_of is not None and full_of.setdefault(*values) != values[1]:
+            full_of = None
+    agrees = full_of is not None and all(f1 < f2 for f1, f2 in pairwise(full_of[t] for t in sorted(full_of)))
 
     return OrderingReport(
         last_step=last_step,
-        truncated_argmax=t_argmax,
-        full_argmax=f_argmax,
-        best_truncated=Fraction(best_t, engine.den(keep)),
-        best_full=Fraction(best_f, engine.den(mdp.horizon)),
+        truncated_argmax=tuple(sorted(argmax[0])),
+        full_argmax=tuple(sorted(argmax[1])),
+        best_truncated=Fraction(best[0], engine.den(keep)),
+        best_full=Fraction(best[1], engine.den(mdp.horizon)),
         argmax_intersects=intersects,
         ordering_agrees=agrees,
         policy_class=pclass,

@@ -309,9 +309,11 @@ def _count_evaluations(monkeypatch):
 
 
 def test_checkers_evaluate_behaviours_not_policies(monkeypatch):
+    # Rewards hidden, so that the sufficiency check walks the class.
     mdp, model = ss.build_greedy(6, 10)
+    hidden = ss.ObservationModel(model.window_length, model.window_starts, model.phi, model.observe_actions, False)
     calls = _count_evaluations(monkeypatch)
-    verdict = ss.check_sufficiency(mdp, model)
+    verdict = ss.check_sufficiency(mdp, hidden)
     assert verdict.policy_class.enumerated == 8192
     assert calls == {"leaf": 128}
 
@@ -334,20 +336,20 @@ def _count_windows(monkeypatch, calls):
 
 def test_window_dps_run_only_where_a_bucket_needs_them(monkeypatch):
     # The windows of these benchmark inputs span every step and show
-    # rewards, so round 0's buckets on step rewards each carry one return
-    # and no window DP runs. With rewards hidden, round 0 is one bucket and
-    # the last start's table alone separates all 108 behaviours. A blind
-    # view keeps every bucket through every round, and still no leaf runs
-    # more than one window DP per start.
+    # rewards, so the tables fix the return and nothing is walked. With
+    # rewards hidden, round 0 is one bucket and the last start's table
+    # alone separates all 108 behaviours. A blind view keeps every bucket
+    # through every round, and still no leaf runs more than one window DP
+    # per start.
     mdp, model, _ = workloads.random_dense_docs(ss, 0, 7)
     calls = _count_evaluations(monkeypatch)
     _count_windows(monkeypatch, calls)
     assert ss.check_sufficiency(mdp, model).sufficient
-    assert calls == {"leaf": 108}
+    assert calls == {}
 
     calls.clear()
     assert ss.check_sufficiency(*ss.build_greedy(6, 80)).sufficient
-    assert calls == {"leaf": 128}
+    assert calls == {}
 
     calls.clear()
     hidden = ss.ObservationModel(model.window_length, model.window_starts, model.phi, True, False)
@@ -425,7 +427,8 @@ def test_every_refinement_order_gives_the_oracle_verdict(seed, stationary, windo
 def test_windows_spanning_every_step_with_rewards_settle_without_window_dps(stationary, seed):
     # Tables that show rewards fix the expected reward of every step their
     # windows span; when the windows span every step, they fix the return,
-    # so no two behaviours with equal tables differ in return.
+    # so no two behaviours with equal tables differ in return, and the
+    # verdict needs no walk.
     rng = random.Random(seed)
     mdp = random_mdp(rng, max_states=6 if stationary else 3, max_horizon=4)
     assume(ss.policy_class_size(mdp, stationary) <= 128)
@@ -434,12 +437,12 @@ def test_windows_spanning_every_step_with_rewards_settle_without_window_dps(stat
     model = ss.ObservationModel(window, _covering_starts(rng, mdp.horizon, window), phi, rng.random() < 0.5, True)
     policies = list((all_stationary_policies if stationary else all_nonstationary_policies)(mdp))
     assert oracle_witness(mdp, model, policies) is None
-    calls = Counter()
     with pytest.MonkeyPatch.context() as mp:
+        calls = _count_evaluations(mp)
         _count_windows(mp, calls)
         verdict = ss.check_sufficiency(mdp, model, stationary)
     assert verdict.sufficient
-    assert calls["window"] == 0
+    assert calls == {}
 
 
 def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
@@ -561,3 +564,50 @@ def test_ordering_disagrees_when_full_returns_tie():
     assert report.full_argmax == (0, 1)
     assert report.argmax_intersects
     assert not report.ordering_agrees
+
+
+def _first_choice(values):
+    """A horizon-2 MDP whose one choice, at step 0, picks policy i's pair of
+    (truncated return at last step 0, full return) from `values`; the walk
+    meets the policies in order."""
+    mids = [f"m{i}" for i in range(len(values))]
+    transitions = {}
+    for i, (trunc, full) in enumerate(values):
+        transitions[("s0", f"c{i}")] = [(mids[i], 1, trunc)]
+        transitions[(mids[i], "go")] = [("end", 1, full - trunc)]
+    return ss.build_mdp(
+        states=["s0", *mids, "end"],
+        actions={"s0": [f"c{i}" for i in range(len(values))], **{m: ["go"] for m in mids}},
+        transitions=transitions,
+        horizon=2,
+        initial={"s0": 1},
+        terminal=["end"],
+    )
+
+
+def test_ordering_argmax_drops_the_members_of_a_lower_maximum():
+    # The walk meets truncated values 0, 1, 0 and full values 0, 1, 2: each
+    # objective's maximum rises after members were kept at a lower one.
+    report = ss.check_objective_consistency(_first_choice([(0, 0), (1, 1), (0, 2)]), 0)
+    assert (report.best_truncated, report.truncated_argmax) == (1, (1,))
+    assert (report.best_full, report.full_argmax) == (2, (2,))
+    assert not report.argmax_intersects
+
+
+def test_ordering_agreement_needs_full_values_rising_with_truncated_ones():
+    # No two policies tie in the truncated return, so no tie can break; the
+    # orderings differ because the full return falls as the truncated one rises.
+    assert not ss.check_objective_consistency(_first_choice([(0, 2), (1, 1)]), 0).ordering_agrees
+    assert not ss.check_objective_consistency(_first_choice([(1, 1), (0, 2)]), 0).ordering_agrees
+    assert ss.check_objective_consistency(_first_choice([(1, 1), (0, 0), (2, 3)]), 0).ordering_agrees
+
+
+@pytest.mark.parametrize("values", [
+    [(0, 2), (1, 1)],  # policy 1 raises the truncated maximum alone
+    [(1, 1), (0, 2)],  # policy 1 raises the full maximum alone
+])
+def test_argmax_sets_are_disjoint_once_the_maxima_part(values):
+    # Policy 0 is at both maxima until policy 1 raises one of them alone.
+    report = ss.check_objective_consistency(_first_choice(values), 0)
+    assert {report.truncated_argmax, report.full_argmax} == {(0,), (1,)}
+    assert not report.argmax_intersects
