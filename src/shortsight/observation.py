@@ -15,16 +15,16 @@ occupancy one step per node and yields one leaf per behaviour; a single
 policy is a class of one, walked to its one leaf. A window DP runs from a
 leaf's occupancy and cells, one start at a time, on request. The engine
 interns features, action labels (by label, so one label at two states is one
-id) and reward values as small ints, and a segment is an id in a trie over
-per-step symbols, so the DPs key on ints; each id is labelled and ranked
-once, from its parent's label and rank, and `segment_distribution` orders the
-labelled segments by `ObservedSegment.sort_key`, compared on the ranks (ints
-in the order of the interned values). Mass at time t is an int over
-D0 * (D * Dpi)**t, where D0, D and Dpi are the lcms of the initial, transition
-and policy-cell denominators (Dpi = 1 for deterministic policies). That
-denominator does not depend on the policy, so within a class two masses are
-equal as ints iff they are equal as Fractions; Fractions appear only at the
-public edge.
+id) and reward values as small ints in sorted order, so each value's id is its
+rank, and a segment is an id in a trie over per-step symbols, so the DPs key
+on ints; each id is labelled and ranked once, from its parent's label and
+rank, and `segment_distribution` orders the labelled segments by
+`ObservedSegment.sort_key`, compared on the ranks (the symbols' ids read as
+digits). Mass at time t is an int over D0 * (D * Dpi)**t, where D0, D and Dpi
+are the lcms of the initial, transition and policy-cell denominators (Dpi = 1
+for deterministic policies). That denominator does not depend on the policy,
+so within a class two masses are equal as ints iff they are equal as
+Fractions; Fractions appear only at the public edge.
 """
 
 from __future__ import annotations
@@ -217,12 +217,12 @@ class _Engine:
         self.d0 = lcm(*(p.denominator for p in mdp.initial))
         self.step = d * den_pi
         self.init = {s: p.numerator * (self.d0 // p.denominator) for s, p in enumerate(mdp.initial) if p != 0}
-        self.rewards = list(dict.fromkeys(r for row in mdp.transitions for outs in row for _, _, r in outs))
+        self.rewards = sorted({r for row in mdp.transitions for outs in row for _, _, r in outs})
         self.r_den = lcm(*(r.denominator for r in self.rewards))
         self.r_num = [r.numerator * (self.r_den // r.denominator) for r in self.rewards]
         phi = model.phi_map if model else dict.fromkeys(mdp.states, "")
-        self.features = list(dict.fromkeys(phi.values()))
-        self.labels = list(dict.fromkeys(a for acts in mdp.actions for a in acts))
+        self.features = sorted(set(phi.values()))
+        self.labels = sorted({a for acts in mdp.actions for a in acts})
         rid, fid, aid = ({v: i for i, v in enumerate(vs)} for vs in (self.rewards, self.features, self.labels))
         self.nf, self.nr = len(self.features), len(self.rewards)
         self.nsym = self.nf * self.nr * len(self.labels)
@@ -377,12 +377,11 @@ class _Engine:
         """Every segment id's label and rank, each its parent's extended by
         one symbol. A label is (features, action labels, rewards), one of
         each per symbol (the first symbol's action and reward are the same
-        filler in every segment). A rank is three ints: the label's features,
-        action labels and rewards read as digits, each value's digit its
-        `_ranks` entry. So on segments of one length ranks compare as the
-        labels' `ObservedSegment.sort_key`s do."""
+        filler in every segment). A rank is three ints: the symbols' feature,
+        action label and reward ids read as digits. Values are interned in
+        sorted order, so an id is its value's rank, and on segments of one
+        length ranks compare as the labels' `ObservedSegment.sort_key`s do."""
         fv, av, rv = self.features, self.labels, self.rewards
-        fk, ak, rk = _ranks(fv), _ranks(av), _ranks(rv)
         nf, na, nr = len(fv), len(av), len(rv)
         labels, ranks = [((), (), ())], [(0, 0, 0)]
         for up, sym in zip(self.parent[1:], self.sym[1:]):
@@ -390,14 +389,8 @@ class _Engine:
             lf, la, lr = labels[up]
             kf, ka, kr = ranks[up]
             labels.append((lf + (fv[f],), la + (av[a],), lr + (rv[r],)))
-            ranks.append((kf * nf + fk[f], ka * na + ak[a], kr * nr + rk[r]))
+            ranks.append((kf * nf + f, ka * na + a, kr * nr + r))
         return labels, ranks
-
-
-def _ranks(values: list) -> list[int]:
-    """Each of the distinct `values`' rank in Python's order on them."""
-    rank = {v: i for i, v in enumerate(sorted(values))}
-    return [rank[v] for v in values]
 
 
 def _evaluate(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> tuple:

@@ -26,7 +26,7 @@ from .mdp import Policy, TabularMDP, Trajectory, _boolean, _cell, _integer, _pol
 from .observation import ObservationModel
 from .offline import OfflineDataset, _distinct
 
-_RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def format_rational(value: Fraction) -> str:
@@ -36,7 +36,7 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(value, where: str) -> Fraction:
-    if not isinstance(value, str) or not _RATIONAL.match(value):
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
         raise ParseError(f"expected an exact rational string like \"3/4\", got {value!r}", where)
     return Fraction(value)
 

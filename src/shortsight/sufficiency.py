@@ -115,15 +115,14 @@ def _refinement_order(starts: tuple[int, ...]) -> tuple[int, ...]:
     return starts[-1:] + starts[:-1]
 
 
-def _split(keyed, rest: tuple[int, ...], window_length: int) -> list[list[tuple]]:
+def _split(keyed) -> list[list[tuple]]:
     """One refinement round: bucket (key, member) pairs on the key and keep
     the buckets that carry two returns. A member (first, return, occupancy,
-    cells) keeps only the occupancy and cells the starts in `rest` read."""
-    last = max(rest, default=None)
-    d_end, c_end = (0, 0) if last is None else (last + 1, last + window_length)
+    cells) was cut once, where the walk yielded it, so a round only
+    re-buckets."""
     parts: dict[tuple, list[tuple]] = {}
-    for key, (first, ret, dists, cells) in keyed:
-        parts.setdefault(key, []).append((first, ret, dists[:d_end], cells[:c_end]))
+    for key, member in keyed:
+        parts.setdefault(key, []).append(member)
     return [members for members in parts.values() if len({ret for _, ret, _, _ in members}) > 1]
 
 
@@ -151,28 +150,32 @@ def check_sufficiency(
     some window spans when the model shows rewards (on nothing otherwise).
     That is exact for the same reason, and every leaf holds those rewards
     as ints over one denominator per step, so each round-0 bucket is a
-    union of exact buckets. The later rounds refine the survivors on one
-    start's table at a time, in `_refinement_order`, so a start's window DP
-    runs only for the behaviours left, from the occupancy and cells their
-    leaves kept. The witness is, as over the policies themselves, the first
-    violating pair (i, j) in enumeration order: i the smallest index in its
-    bucket, j the smallest index there whose return differs.
+    union of exact buckets. Each leaf's occupancy and cells are cut once, as
+    the walk yields it, to what the last start's window reads, which every
+    start's window reads a prefix of. The later rounds only re-bucket the
+    survivors on one start's table at a time, in `_refinement_order`, so a
+    start's window DP runs only for the behaviours left. The witness is, as
+    over the policies themselves, the first violating pair (i, j) in
+    enumeration order: i the smallest index in its bucket, j the smallest
+    index there whose return differs.
     """
     pclass, engine = _enter(mdp, model, stationary, cap)
     H, order = model.window_length, _refinement_order(model.window_starts)
     seen = sorted({t for t0 in order for t in range(t0, t0 + H)}) if model.observe_rewards else []
     if len(seen) == mdp.horizon:
         return SufficiencyVerdict(True, None, pclass)
-    # Round 0 keys on the rewards of the steps in `seen`; round k on the
-    # table of start order[k - 1].
+    # Every start reads a prefix of a leaf's occupancy and cells cut to the
+    # last start's window. Round 0 keys on the rewards of the steps in
+    # `seen`; round k on the table of start order[k - 1].
+    last = model.window_starts[-1]
     keyed = (
-        (tuple(rewards[t] for t in seen), (b.first, engine.total(rewards), dists, cells))
+        (tuple(rewards[t] for t in seen), (b.first, engine.total(rewards), dists[: last + 1], cells[: last + H]))
         for b, dists, rewards, cells in _walk_class(engine, stationary, cap)
     )
-    survivors = _split(keyed, order, H)
-    for done, t0 in enumerate(order, 1):
+    survivors = _split(keyed)
+    for t0 in order:
         keyed = (((k, engine.window(t0, *m[2:])), m) for k, members in enumerate(survivors) for m in members)
-        survivors = _split(keyed, order[done:], H)
+        survivors = _split(keyed)
 
     pairs = []
     for members in survivors:

@@ -234,10 +234,10 @@ def test_segments_come_in_sort_key_order(observe_actions, observe_rewards):
 @settings(max_examples=50)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_per_start_is_sorted_by_sort_key(observe_actions, observe_rewards, seed):
-    # Segments are sorted on ranks of the interned values; the order must
-    # be `ObservedSegment.sort_key`'s whatever order the engine interned
-    # them in. Features "f7" and "f14" and shuffled action labels make
-    # interning order, string order and numeric order disagree.
+    # The engine interns values in sorted order and sorts segments on their
+    # symbols' ids, so the order must be `ObservedSegment.sort_key`'s.
+    # Features "f7" and "f14" and shuffled action labels make first-seen
+    # order, string order and numeric order disagree.
     rng = random.Random(seed)
     mdp = random_mdp(rng, max_states=6, max_horizon=4)
     mdp = dataclasses.replace(

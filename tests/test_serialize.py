@@ -306,7 +306,20 @@ def _doc_cases():
     def append(path, value):
         return lambda doc: at(doc, path).append(value)
 
-    return [
+    # Rational strings are ASCII digits matched whole: a final newline or a
+    # non-ASCII digit, which `Fraction` would accept, is refused. In the
+    # dataset its exact twin is parsed first, so the reward-string cache
+    # holds that value when the refused string arrives.
+    strict = [
+        (kind, put(path, value), position, f"expected an exact rational string like \"3/4\", got {bad!r}")
+        for bad, twin in (("3/4\n", "3/4"), ("1\n", "1"), ("\u0663", "3"))
+        for kind, path, value, position in (
+            ("mdp", ["transitions", 0, "prob"], bad, "transitions[0].prob"),
+            ("policy", ["rows", 0, "s0"], {"L": bad}, "rows[0][s0][L]"),
+            ("dataset", ["trajectories", 0, "rewards"], [twin, bad, "1"], "trajectories[0].rewards[1]"),
+        )
+    ]
+    return strict + [
         ("mdp", None, "document", "expected an object, got list"),
         ("mdp", put(["states"], "s0"), "states", "expected an array, got str"),
         ("mdp", put(["states", 1], 7), "states[1]", "expected a string, got int"),

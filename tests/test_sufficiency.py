@@ -362,6 +362,19 @@ def test_window_dps_run_only_where_a_bucket_needs_them(monkeypatch):
     assert calls == {"leaf": 108, "window": 432}
     assert calls["window"] <= calls["leaf"] * len(blind.window_starts)
 
+    # Rewards shown on some steps only: round 0 buckets on those steps'
+    # rewards, and the window DPs run only for the buckets it leaves mixed.
+    # Without round 0 each of these runs 108 (one per leaf at the last start).
+    for starts, sufficient, expected in (
+        ((0,), False, {"leaf": 108, "window": 41}),
+        ((1,), False, {"leaf": 108, "window": 6}),
+        ((2, 3), True, {"leaf": 108}),
+    ):
+        calls.clear()
+        partial = ss.ObservationModel(model.window_length, starts, model.phi)
+        assert ss.check_sufficiency(mdp, partial).sufficient == sufficient
+        assert calls == expected, starts
+
 
 def _covering_starts(rng, horizon, window):
     """A random set of window starts whose windows span every step."""
