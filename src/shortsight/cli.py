@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .counterexamples import FAMILIES, CounterexampleSpec, build_counterexample, verify_proposition
-from .errors import DocumentError, InvalidParam, ShortsightError
+from .errors import DocumentError, InvalidParam, ParseError, ShortsightError
 from .evaluate import full_return, truncated_return
 from .mdp import policy_at_index
 from .observation import segment_distribution
@@ -37,6 +37,7 @@ from .serialize import (
     parse_mdp,
     parse_model,
     parse_policy,
+    parse_rational,
     serialize_dataset,
     serialize_mdp,
     serialize_model,
@@ -95,10 +96,11 @@ def _write(path: str, text: str) -> dict:
 
 
 def _rational_arg(text: str) -> Fraction:
+    """A rational flag, by the documents' rule (`serialize.parse_rational`)."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected an exact rational like 10 or 21/2, got {text!r}")
+        return parse_rational(text, None)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _policy_class_doc(pclass) -> dict:

@@ -56,7 +56,9 @@ class TabularMDP:
 
     Instances are deeply immutable: every table is a tuple (or frozenset) of
     ints, strings and Fractions, as `build_mdp` and `parse_mdp` build them, so
-    an MDP that passed `validate_mdp` stays valid.
+    an MDP that passed `validate_mdp` stays valid. The integer engine keeps
+    the tables it compiled from the fields on the instance (see
+    `observation._Engine`); they take no part in equality or hashing.
     """
 
     states: tuple[str, ...]

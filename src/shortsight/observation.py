@@ -7,17 +7,20 @@ computes the exact probability mass over observable segments for a policy,
 one normalized distribution per window start, with no sampling involved.
 
 One private integer engine does that work and the forward pass behind
-`evaluate` and the checkers. Each public call compiles its own, for its
+`evaluate` and the checkers. Each public call builds its own, for its
 (MDP, model), in one of two entries that check the inputs first:
-`_evaluate` here for a single policy, `sufficiency._enter` for a class. Its
-one forward DP is a depth-first walk over a policy class that advances the
-occupancy one step per node and yields one leaf per behaviour; a single
-policy is a class of one, walked to its one leaf. A window DP runs from a
-leaf's occupancy and cells, one start at a time, on request. The engine
-interns features, action labels (by label, so one label at two states is one
-id) and reward values as small ints in sorted order, so each value's id is its
-rank, and a segment is an id in a trie over per-step symbols, so the DPs key
-on ints; each id is labelled and ranked once, from its parent's label and
+`_evaluate` here for a single policy, `sufficiency._enter` for a class. The
+engine's integer tables are kept on the MDP, one set for the last (model,
+den_pi) compiled, so calls in turn on one MDP and model compile once; each
+engine starts its own segment trie. Its one forward DP is a depth-first
+walk over a policy class that advances the occupancy one step per node and
+yields one leaf per behaviour; a single policy is a class of one, walked to
+its one leaf. A window DP runs from a leaf's occupancy and cells, one start
+at a time, on request. The engine interns features, action labels (by label,
+so one label at two states is one id) and reward values (as ints over their
+lcm, so no Fraction is hashed) as small ints in sorted order, so each
+value's id is its rank, and a segment is an id in a trie over per-step
+symbols, so the DPs key on ints; each id is labelled and ranked once, from its parent's label and
 rank, and `segment_distribution` orders the labelled segments by
 `ObservedSegment.sort_key`, compared on the ranks (the symbols' ids read as
 digits). Mass at time t is an int over D0 * (D * Dpi)**t, where D0, D and Dpi
@@ -203,49 +206,65 @@ def _check_trajectory(mdp: TabularMDP, trajectory: Trajectory) -> None:
             )
 
 
+def _compile(mdp: TabularMDP, model: ObservationModel | None, den_pi: int) -> tuple:
+    """The integer tables of (MDP, model, den_pi), in `_Engine`'s attribute
+    order: d0, step, init, rewards, r_den, r_num, features, labels, nf, nr,
+    nsym, root, outs and point. They hold ints, strings and Fractions only,
+    nothing that refers back to the MDP."""
+    d = lcm(*(p.denominator for row in mdp.transitions for outs in row for _, p, _ in outs))
+    d0 = lcm(*(p.denominator for p in mdp.initial))
+    init = {s: p.numerator * (d0 // p.denominator) for s, p in enumerate(mdp.initial) if p}
+    # Rewards as ints over their lcm: sorted ints are sorted values.
+    r_den = lcm(*(r.denominator for row in mdp.transitions for outs in row for _, _, r in outs))
+    r_num = sorted({r.numerator * (r_den // r.denominator) for row in mdp.transitions for outs in row for _, _, r in outs})
+    phi = model.phi_map if model else dict.fromkeys(mdp.states, "")
+    features = sorted(set(phi.values()))
+    labels = sorted({a for acts in mdp.actions for a in acts})
+    rid, fid, aid = ({v: i for i, v in enumerate(vs)} for vs in (r_num, features, labels))
+    nf, nr = len(features), len(r_num)
+    nsym = nf * nr * len(labels)
+    acts = model is not None and model.observe_actions
+    rews = model is not None and model.observe_rewards
+    root = [fid[phi[s]] for s in mdp.states]
+    # Per (state, action): (next state, mass numerator over d, reward id,
+    # step symbol), the symbol packing the observed action label id, reward
+    # id and next feature id (unobserved parts read 0).
+    outs = []
+    for s, row in enumerate(mdp.transitions):
+        outs.append([])
+        for a, cell in zip(mdp.actions[s], row):
+            kept = []
+            for s2, p, r in cell:
+                if p:
+                    k = rid[r.numerator * (r_den // r.denominator)]
+                    kept.append((s2, p.numerator * (d // p.denominator), k,
+                                 ((aid[a] if acts else 0) * nr + (k if rews else 0)) * nf + root[s2]))
+            outs[-1].append(tuple(kept))
+    # The cell of each point mass, by (state, action id).
+    point = [[((den_pi, o),) for o in row] for row in outs]
+    rewards = [Fraction(n, r_den) for n in r_num]
+    return d0, d * den_pi, init, rewards, r_den, r_num, features, labels, nf, nr, nsym, root, outs, point
+
+
 class _Engine:
     """An MDP, and optionally an observation model, compiled to integers.
 
     See the module docstring. `den_pi` is a common multiple of the cell
     denominators of every policy run through the engine: 1 for the
-    deterministic classes the checkers enumerate.
+    deterministic classes the checkers enumerate. The tables (`_compile`) are
+    kept on the MDP, one set for the last (model, den_pi) compiled, so engines
+    built in turn for one (MDP, model, den_pi) compile once; the segment trie
+    belongs to each engine and starts empty.
     """
 
     def __init__(self, mdp: TabularMDP, model: ObservationModel | None = None, den_pi: int = 1):
-        self.mdp, self.model, self.den_pi = mdp, model, den_pi
-        d = lcm(*(p.denominator for row in mdp.transitions for outs in row for _, p, _ in outs))
-        self.d0 = lcm(*(p.denominator for p in mdp.initial))
-        self.step = d * den_pi
-        self.init = {s: p.numerator * (self.d0 // p.denominator) for s, p in enumerate(mdp.initial) if p != 0}
-        self.rewards = sorted({r for row in mdp.transitions for outs in row for _, _, r in outs})
-        self.r_den = lcm(*(r.denominator for r in self.rewards))
-        self.r_num = [r.numerator * (self.r_den // r.denominator) for r in self.rewards]
-        phi = model.phi_map if model else dict.fromkeys(mdp.states, "")
-        self.features = sorted(set(phi.values()))
-        self.labels = sorted({a for acts in mdp.actions for a in acts})
-        rid, fid, aid = ({v: i for i, v in enumerate(vs)} for vs in (self.rewards, self.features, self.labels))
-        self.nf, self.nr = len(self.features), len(self.rewards)
-        self.nsym = self.nf * self.nr * len(self.labels)
-        acts = model is not None and model.observe_actions
-        rews = model is not None and model.observe_rewards
-        self.root = [fid[phi[s]] for s in mdp.states]
-        # Per (state, action): (next state, mass numerator over d, reward id,
-        # step symbol), the symbol packing the observed action label id,
-        # reward id and next feature id (unobserved parts read 0).
-        self.outs = [
-            [
-                tuple(
-                    (s2, p.numerator * (d // p.denominator), rid[r],
-                     ((aid[a] if acts else 0) * self.nr + (rid[r] if rews else 0)) * self.nf + self.root[s2])
-                    for s2, p, r in outs
-                    if p != 0
-                )
-                for a, outs in zip(mdp.actions[s], row)
-            ]
-            for s, row in enumerate(mdp.transitions)
-        ]
-        # The cell of each point mass, by (state, action id).
-        self.point = [[((den_pi, o),) for o in row] for row in self.outs]
+        self.mdp, self.model = mdp, model
+        key, tables = getattr(mdp, "_compiled", (None, None))
+        if key != (model, den_pi):
+            tables = _compile(mdp, model, den_pi)
+            object.__setattr__(mdp, "_compiled", ((model, den_pi), tables))
+        (self.d0, self.step, self.init, self.rewards, self.r_den, self.r_num, self.features, self.labels,
+         self.nf, self.nr, self.nsym, self.root, self.outs, self.point) = tables
         # Segment ids: a trie over step symbols. Id 0 is the empty segment;
         # kids maps parent * nsym + symbol to the child id.
         self.kids: dict[int, int] = {}

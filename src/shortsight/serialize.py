@@ -2,7 +2,8 @@
 
 Every probability and reward travels as an exact "p/q" string; documents
 round-trip exactly (parse(serialize(x)) == x). Parsing is strict: unknown
-fields are rejected with the offending field path, syntax errors carry the
+fields are rejected with the offending field path, a rational string must be
+spelt exactly as `format_rational` writes its value, syntax errors carry the
 line and column, and semantic problems are reported through the same
 validators the rest of the package uses.
 
@@ -35,10 +36,15 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def parse_rational(value, where: str) -> Fraction:
+def parse_rational(value, where: str | None) -> Fraction:
+    """The one rule for a rational string: exactly `format_rational` of its
+    value, so each rational has one spelling ("1/2", not "2/4" or "-0")."""
     if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
         raise ParseError(f"expected an exact rational string like \"3/4\", got {value!r}", where)
-    return Fraction(value)
+    rational = Fraction(value)
+    if format_rational(rational) != value:
+        raise ParseError(f"expected the canonical spelling {format_rational(rational)!r}, got {value!r}", where)
+    return rational
 
 
 def canonical_json(doc) -> str:

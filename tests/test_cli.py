@@ -97,6 +97,24 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["1.5", "1e2", "12\n", "1_0", "+12", "\u0669\u0660", "2/4", "007"])
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_penalty_is_parsed_by_the_rational_rule(tmp_path, capsys, command, text):
+    # --M takes rationals as documents spell them: `Fraction` would read
+    # each of these (the Arabic-Indic digits as 90).
+    argv = ["gen", "greedy", "-o", str(tmp_path / "g")] if command == "gen" else ["verify", "--prop", "2"]
+    code, out, err = run_cli(capsys, *argv, "--H", "2", "--M", text)
+    assert code == 2 and out == ""
+    assert "argument --M:" in err and repr(text) in err
+
+
+@pytest.mark.parametrize("text, penalty", [("10", "10"), ("21/2", "21/2")])
+def test_penalty_takes_an_integer_or_a_fraction(capsys, text, penalty):
+    code, out, _ = run_cli(capsys, "verify", "--prop", "2", "--H", "2", "--M", text)
+    assert code == 0
+    assert json.loads(out)["inputs"]["M"] == penalty
+
+
 @pytest.mark.parametrize("prop, family", [("1", "prefix"), ("3", "aliasing")])
 def test_verify_rejects_a_penalty_its_family_does_not_take(capsys, prop, family):
     # The same rule as `gen`: only the greedy family takes M.

@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import shortsight as ss
+from shortsight import observation
 from shortsight.errors import InvalidTrajectory, ModelMismatch
 
 from conftest import half_behavior
@@ -385,3 +388,98 @@ def test_observe_refuses_an_mdp_whose_probabilities_do_not_sum_to_one():
     traj = ss.Trajectory(("a", "b"), ("x",), (Fraction(1),))
     with pytest.raises(ss.InvalidParam, match=r"\(a, x\) sum to 1/2"):
         ss.observe(mdp, traj, model)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The (model, den_pi) of each table set the engine compiles, in order."""
+    calls = []
+    inner = observation._compile
+
+    def wrapper(mdp, model, den_pi):
+        calls.append((model, den_pi))
+        return inner(mdp, model, den_pi)
+
+    monkeypatch.setattr(observation, "_compile", wrapper)
+    return calls
+
+
+def test_engines_built_in_turn_on_one_mdp_compile_once(compiles):
+    # Proposition 2 runs every check on one MDP without a model; 1 and 3
+    # alternate a model, its control and no model.
+    ss.verify_proposition(2, 3, 5)
+    assert len(compiles) == 1
+    for prop in (1, 3):
+        compiles.clear()
+        ss.verify_proposition(prop, 3)
+        assert len(compiles) == 3
+    compiles.clear()
+    mdp, _ = ss.build_greedy(3, 10)
+    policy = ss.mdp.policy_at_index(mdp, 0)
+    assert ss.full_return(mdp, policy) == ss.full_return(mdp, policy)
+    assert compiles == [(None, 1)]
+
+
+def test_an_mdp_is_freed_by_reference_counting_alone():
+    # The tables kept on the MDP refer to nothing that refers back to it,
+    # so no cycle waits for the collector.
+    mdp, model = ss.build_greedy(3, 10)
+    hidden = dataclasses.replace(model, observe_rewards=False)
+    gc.disable()
+    try:
+        ss.segment_distribution(mdp, half_behavior(mdp), model)
+        ss.full_return(mdp, ss.mdp.policy_at_index(mdp, 0))
+        ss.check_sufficiency(mdp, hidden)
+        ss.check_objective_consistency(mdp, 1)
+        ref = weakref.ref(mdp)
+        del mdp
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_each_engine_starts_its_own_segment_trie(compiles):
+    # With rewards hidden the prefix check runs window DPs to its witness,
+    # which grow its engine's trie; the next engine shares only the tables.
+    mdp, model = ss.build_prefix(3)
+    hidden = dataclasses.replace(model, observe_rewards=False)
+    assert not ss.check_sufficiency(mdp, hidden).sufficient
+    engine = observation._Engine(mdp, hidden)
+    assert compiles == [(hidden, 1)]
+    assert engine.parent == [0] and engine.sym == [0] and engine.kids == {}
+
+
+def _public_calls(models, last_step):
+    """Every public call that builds an engine, as functions of (MDP,
+    policy), grouped so that calls in turn differ in model or policy."""
+    calls = [lambda m, p, model=model: ss.segment_distribution(m, p, model) for model in models]
+    calls += [
+        ss.full_return,
+        lambda m, p: ss.truncated_return(m, p, last_step),
+        ss.step_rewards,
+        ss.occupancy,
+    ]
+    calls += [
+        lambda m, p, model=model, stationary=stationary: ss.check_sufficiency(m, model, stationary)
+        for model in models
+        for stationary in (True, False)
+    ]
+    calls.append(lambda m, p: ss.check_objective_consistency(m, last_step, False))
+    return calls
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_calls_on_a_used_mdp_match_calls_on_a_fresh_one(seed):
+    # One MDP takes every call in turn, each compared with the same call on
+    # a fresh equal MDP that has compiled nothing. Models change between
+    # calls, and the stochastic policy (den_pi 2) sits between two
+    # deterministic ones (den_pi 1), so tables kept for another model or
+    # den_pi would show.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=5, max_horizon=4)
+    models = [random_model(rng, mdp) for _ in range(3)]
+    policies = [ss.mdp.policy_at_index(mdp, 0, True), half_behavior(mdp), ss.mdp.policy_at_index(mdp, 0, False)]
+    for call in _public_calls(models, rng.randint(0, mdp.horizon)):
+        for policy in policies:
+            assert call(mdp, policy) == call(dataclasses.replace(mdp), policy)

@@ -319,7 +319,19 @@ def _doc_cases():
             ("dataset", ["trajectories", 0, "rewards"], [twin, bad, "1"], "trajectories[0].rewards[1]"),
         )
     ]
-    return strict + [
+    # A rational has one spelling, `format_rational`'s: a string that is not
+    # in lowest terms, has a leading zero, or reads "-0" is refused for that
+    # spelling, after its canonical twin in the dataset as above.
+    canonical = [
+        (kind, put(path, value), position, f"expected the canonical spelling {twin!r}, got {bad!r}")
+        for bad, twin in (("2/4", "1/2"), ("007", "7"), ("-0", "0"), ("0/5", "0"), ("4/2", "2"))
+        for kind, path, value, position in (
+            ("mdp", ["transitions", 0, "prob"], bad, "transitions[0].prob"),
+            ("policy", ["rows", 0, "s0"], {"L": bad}, "rows[0][s0][L]"),
+            ("dataset", ["trajectories", 0, "rewards"], [twin, bad, "1"], "trajectories[0].rewards[1]"),
+        )
+    ]
+    return strict + canonical + [
         ("mdp", None, "document", "expected an object, got list"),
         ("mdp", put(["states"], "s0"), "states", "expected an array, got str"),
         ("mdp", put(["states", 1], 7), "states[1]", "expected a string, got int"),
