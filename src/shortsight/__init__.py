@@ -38,7 +38,6 @@ from .mdp import (
     policy_class_size,
     rational,
     validate_mdp,
-    validate_policy,
 )
 from .observation import (
     ObservationModel,
@@ -51,6 +50,7 @@ from .observation import (
     observe,
     segment_distribution,
     validate_model,
+    validate_policy,
 )
 from .offline import EmpiricalSegmentStats, OfflineDataset, empirical_segments, sample_dataset, tv_distance
 from .sufficiency import (

@@ -11,9 +11,10 @@ UTF-8 included) names its file. Output files (`gen -o`, `sample -o`) are
 written by `_write` alone, in place over an existing file, which is then cut
 to the new length if it was longer.
 
-The default policy-enumeration cap is 10**6 and can be overridden with the
---cap flag or, when the flag is absent, the SHORTSIGHT_POLICY_CAP
-environment variable. Either must be an integer >= 1.
+Numbers in flags are spelt as in documents (`mdp.parse_rational`), integers
+with denominator 1 ("3", not "03"). The policy-enumeration cap is 10**6
+unless --cap or, when the flag is absent, the SHORTSIGHT_POLICY_CAP
+environment variable gives another; either must be an integer >= 1.
 """
 
 from __future__ import annotations
@@ -28,16 +29,14 @@ from fractions import Fraction
 from .counterexamples import FAMILIES, CounterexampleSpec, build_counterexample, verify_proposition
 from .errors import DocumentError, InvalidParam, ParseError, ShortsightError
 from .evaluate import full_return, truncated_return
-from .mdp import policy_at_index
+from .mdp import format_rational, parse_rational, policy_at_index
 from .observation import segment_distribution
 from .offline import sample_dataset
 from .serialize import (
     canonical_json,
-    format_rational,
     parse_mdp,
     parse_model,
     parse_policy,
-    parse_rational,
     serialize_dataset,
     serialize_mdp,
     serialize_model,
@@ -57,8 +56,8 @@ def _resolve_cap(flag: str | None) -> int:
     if raw is None:
         return DEFAULT_CAP
     try:
-        cap = int(raw)
-    except ValueError:
+        cap = _integer_arg(raw)
+    except argparse.ArgumentTypeError:
         raise InvalidParam(f"{source} must be an integer, got {raw!r}") from None
     return require_cap(cap, source)
 
@@ -96,11 +95,21 @@ def _write(path: str, text: str) -> dict:
 
 
 def _rational_arg(text: str) -> Fraction:
-    """A rational flag, by the documents' rule (`serialize.parse_rational`)."""
+    """A rational flag, by the documents' rule (`mdp.parse_rational`)."""
     try:
         return parse_rational(text, None)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _integer_arg(text: str) -> int:
+    """An integer flag, by the same rule: a rational with denominator 1."""
+    try:
+        if (value := parse_rational(text, None)).denominator == 1:
+            return value.numerator
+    except ParseError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _policy_class_doc(pclass) -> dict:
@@ -291,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a counterexample MDP and observation model")
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--H", type=int, required=True, help="window length")
+    p.add_argument("--H", type=_integer_arg, required=True, help="window length")
     p.add_argument("--M", type=_rational_arg, default=None, help="greedy-family penalty (requires M > H+1)")
     p.add_argument("-o", "--output", required=True, help="output path prefix")
     p.set_defaults(run=_cmd_gen)
@@ -299,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="exact expected return of a policy")
     p.add_argument("--mdp", required=True)
     p.add_argument("--policy", required=True)
-    p.add_argument("--truncate", type=int, default=None, help="inclusive last reward index")
+    p.add_argument("--truncate", type=_integer_arg, default=None, help="inclusive last reward index")
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("segdist", help="exact observable segment distribution of a policy")
@@ -317,14 +326,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ordering", help="compare truncated-return and full-return policy orderings")
     p.add_argument("--mdp", required=True)
-    p.add_argument("--h", type=int, required=True, help="inclusive last reward index of the truncated objective")
+    p.add_argument("--h", type=_integer_arg, required=True, help="inclusive last reward index of the truncated objective")
     p.add_argument("--nonstationary", action="store_true")
     p.add_argument("--cap")
     p.set_defaults(run=_cmd_ordering)
 
     p = sub.add_parser("verify", help="verify one counterexample proposition end to end")
-    p.add_argument("--prop", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--H", type=int, required=True)
+    p.add_argument("--prop", type=_integer_arg, choices=(1, 2, 3), required=True)
+    p.add_argument("--H", type=_integer_arg, required=True)
     p.add_argument("--M", type=_rational_arg, default=None)
     p.add_argument("--cap")
     p.set_defaults(run=_cmd_verify)
@@ -332,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample an offline dataset under a behavior policy")
     p.add_argument("--mdp", required=True)
     p.add_argument("--behavior", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_integer_arg, required=True)
+    p.add_argument("--seed", type=_integer_arg, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(run=_cmd_sample)
     return parser

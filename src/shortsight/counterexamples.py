@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import InvalidParam
+from .errors import InvalidParam, ParseError
 from .evaluate import full_return, truncated_return
 from .mdp import Policy, TabularMDP, _integer, build_mdp, make_stationary, rational
 from .observation import ObservationModel, all_window_starts, distributions_equal, identity_phi, segment_distribution
@@ -170,7 +170,7 @@ def greedy_policies(mdp: TabularMDP) -> tuple[Policy, Policy]:
 def _penalty(h: int, penalty) -> Fraction:
     try:
         m = rational(penalty)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ParseError):
         raise InvalidParam(f"penalty must be an exact rational (int, Fraction or \"p/q\"), got {penalty!r}") from None
     if m <= h + 1:
         raise InvalidParam(f"penalty must satisfy M > H+1 (here H+1 = {h + 1}), got {m}")

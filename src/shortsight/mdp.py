@@ -2,20 +2,21 @@
 
 Probabilities and rewards are `fractions.Fraction` throughout so that
 distribution equality and return comparisons are decided exactly, never
-against a floating-point tolerance. States and actions are identified by
+against a floating-point tolerance; a rational string, wherever it enters,
+is read by one rule, `parse_rational`. States and actions are identified by
 position: the label tuples define the canonical integer ids used everywhere
 else in the package.
 """
 
 from __future__ import annotations
 
-import weakref
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InvalidParam
+from .errors import InvalidParam, ParseError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -25,11 +26,32 @@ Outcome = tuple[int, Fraction, Fraction]
 # A policy cell: (action id, probability) pairs sorted by action id.
 Cell = tuple[tuple[int, Fraction], ...]
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def format_rational(value: Fraction) -> str:
+    """The wire form of an exact rational: "n" or "n/d" in lowest terms,
+    which is exactly `str` of a Fraction (or of an int)."""
+    return str(value)
+
+
+def parse_rational(value, where: str | None) -> Fraction:
+    """The one rule for a rational string: exactly `format_rational` of its
+    value, so each rational has one spelling ("1/2", not "2/4" or "-0")."""
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise ParseError(f"expected an exact rational string like \"3/4\", got {value!r}", where)
+    rational = Fraction(value)
+    if format_rational(rational) != value:
+        raise ParseError(f"expected the canonical spelling {format_rational(rational)!r}, got {value!r}", where)
+    return rational
+
 
 def rational(value) -> Fraction:
-    """Coerce ints, "p/q" strings and Fractions to Fraction; floats are refused."""
+    """Coerce ints, Fractions and `parse_rational` strings to Fraction; floats are refused."""
     if isinstance(value, (float, bool)):
         raise TypeError(f"exact rational required, got {value!r}")
+    if isinstance(value, str):
+        return parse_rational(value, None)
     return Fraction(value)
 
 
@@ -56,9 +78,9 @@ class TabularMDP:
 
     Instances are deeply immutable: every table is a tuple (or frozenset) of
     ints, strings and Fractions, as `build_mdp` and `parse_mdp` build them, so
-    an MDP that passed `validate_mdp` stays valid. The integer engine keeps
-    the tables it compiled from the fields on the instance (see
-    `observation._Engine`); they take no part in equality or hashing.
+    an MDP that passed `validate_mdp` stays valid. The flag that it passed
+    and the integer tables the engine compiled from the fields (see
+    `observation._Engine`) are kept on the instance, outside equality and hashing.
     """
 
     states: tuple[str, ...]
@@ -117,7 +139,7 @@ def build_mdp(
     """Assemble a TabularMDP from label-keyed tables.
 
     `transitions` maps (state, action) to (next_state, prob, reward) records;
-    probabilities and rewards may be ints, "p/q" strings or Fractions.
+    probabilities and rewards may be ints, Fractions or `rational` strings.
     Terminal states may omit action and transition entries: the mandatory
     zero-reward self-loop is filled in. Unknown labels are rejected here;
     semantic invariants are checked separately by `validate_mdp`.
@@ -173,11 +195,6 @@ def build_mdp(
     return TabularMDP(labels, tuple(act_rows), tuple(trans_rows), _integer(horizon, "horizon"), init, term)
 
 
-# MDPs that passed `validate_mdp`, by identity. Weak values: an entry goes
-# when its MDP is collected, and the `is` check guards a reused id.
-_VALID: weakref.WeakValueDictionary[int, TabularMDP] = weakref.WeakValueDictionary()
-
-
 def validate_mdp(mdp: TabularMDP) -> list[str]:
     """Return one message per invariant violation; an empty list means valid.
 
@@ -185,11 +202,11 @@ def validate_mdp(mdp: TabularMDP) -> list[str]:
     broken model, so nothing is raised here. MDPs are immutable, so each
     object that passes is checked once; a failing one is checked every time.
     """
-    if _VALID.get(id(mdp)) is mdp:
+    if getattr(mdp, "_valid", False):
         return []
     problems = _mdp_problems(mdp)
     if not problems:
-        _VALID[id(mdp)] = mdp
+        object.__setattr__(mdp, "_valid", True)
     return problems
 
 
@@ -358,85 +375,6 @@ def make_nonstationary(mdp: TabularMDP, per_step: Sequence[Mapping[str, object]]
             row[s] = _make_cell(mdp, s, spec)
         rows.append(row)
     return _policy(mdp.horizon, rows, False)
-
-
-def validate_policy(mdp: TabularMDP, policy: Policy) -> list[str]:
-    """Return invariant violations of `policy` with respect to `mdp`.
-
-    Checks cell-level soundness (available actions, exact sums, point masses
-    for deterministic policies) plus coverage: the policy must be defined at
-    every non-terminal state reachable under it at every timestep.
-    """
-    problems = []
-    seen_msg = set()
-
-    def add(msg):
-        if msg not in seen_msg:
-            seen_msg.add(msg)
-            problems.append(msg)
-
-    if policy.kind not in ("deterministic", "stochastic"):
-        add(f"unknown policy kind {policy.kind!r}")
-    if policy.horizon != mdp.horizon:
-        add(f"policy horizon {policy.horizon} does not match MDP horizon {mdp.horizon}")
-    if len(policy.rows) != policy.horizon:
-        add(f"policy has {len(policy.rows)} rows for horizon {policy.horizon}")
-        return problems
-    if policy.stationary and any(row is not policy.rows[0] and row != policy.rows[0] for row in policy.rows):
-        add("stationary policy has rows that differ; its one row is read at every step")
-
-    checked = set()
-    for t, row in enumerate(policy.rows):
-        if id(row) in checked:
-            continue
-        checked.add(id(row))
-        for s, entries in row.items():
-            if not (0 <= s < mdp.n_states):
-                add(f"policy row {t} references out-of-range state id {s}")
-                continue
-            label = mdp.states[s]
-            if mdp.is_terminal(s):
-                add(f"policy defines terminal state {label}; terminal actions are forced")
-                continue
-            if not entries:
-                add(f"policy cell for state {label} is empty")
-                continue
-            acts = [a for a, _ in entries]
-            if any(not (0 <= a < len(mdp.actions[s])) for a in acts):
-                add(f"policy cell for state {label} uses an unavailable action")
-                continue
-            if len(set(acts)) != len(acts):
-                add(f"policy cell for state {label} repeats an action")
-            if any(p <= 0 for _, p in entries):
-                add(f"policy cell for state {label} has a non-positive probability")
-            if sum(p for _, p in entries) != 1:
-                add(f"policy cell for state {label} does not sum to 1")
-            if policy.kind == "deterministic" and len(entries) != 1:
-                add(f"deterministic policy has a split cell at state {label}")
-
-    if policy.horizon != mdp.horizon:
-        return problems
-
-    # Coverage walk: undefined cells are violations only where reachable.
-    support = {s for s, p in enumerate(mdp.initial) if p > 0}
-    for t in range(mdp.horizon):
-        nxt = set()
-        for s in support:
-            if mdp.is_terminal(s):
-                nxt.add(s)
-                continue
-            entries = policy.rows[t].get(s)
-            if entries is None:
-                add(f"policy undefined at t={t} for reachable state {mdp.states[s]}")
-                continue
-            for a, p in entries:
-                if p <= 0 or not (0 <= a < len(mdp.actions[s])):
-                    continue
-                for s2, pr, _ in mdp.transitions[s][a]:
-                    if pr > 0:
-                        nxt.add(s2)
-        support = nxt
-    return problems
 
 
 # A cell of the deterministic class: (t, state). Stationary policies have one

@@ -15,19 +15,20 @@ den_pi) compiled, so calls in turn on one MDP and model compile once; each
 engine starts its own segment trie. Its one forward DP is a depth-first
 walk over a policy class that advances the occupancy one step per node and
 yields one leaf per behaviour; a single policy is a class of one, walked to
-its one leaf. A window DP runs from a leaf's occupancy and cells, one start
-at a time, on request. The engine interns features, action labels (by label,
-so one label at two states is one id) and reward values (as ints over their
+its one leaf, and `validate_policy` reads what the policy reaches off that
+leaf. A window DP runs from a leaf's occupancy and cells, one start at a
+time, on request. The engine interns features, action labels (by label, so
+one label at two states is one id) and reward values (as ints over their
 lcm, so no Fraction is hashed) as small ints in sorted order, so each
 value's id is its rank, and a segment is an id in a trie over per-step
-symbols, so the DPs key on ints; each id is labelled and ranked once, from its parent's label and
-rank, and `segment_distribution` orders the labelled segments by
-`ObservedSegment.sort_key`, compared on the ranks (the symbols' ids read as
-digits). Mass at time t is an int over D0 * (D * Dpi)**t, where D0, D and Dpi
-are the lcms of the initial, transition and policy-cell denominators (Dpi = 1
-for deterministic policies). That denominator does not depend on the policy,
-so within a class two masses are equal as ints iff they are equal as
-Fractions; Fractions appear only at the public edge.
+symbols, so the DPs key on ints; each id is labelled and ranked once, from
+its parent's label and rank, and `segment_distribution` orders the labelled
+segments by `ObservedSegment.sort_key`, compared on the ranks (the symbols'
+ids read as digits). Mass at time t is an int over D0 * (D * Dpi)**t, where
+D0, D and Dpi are the lcms of the initial, transition and policy-cell
+denominators (Dpi = 1 for deterministic policies). That denominator does
+not depend on the policy, so within a class two masses are equal as ints iff
+they are equal as Fractions; Fractions appear only at the public edge.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidParam, InvalidTrajectory, ModelMismatch, PolicyMismatch
-from .mdp import Behaviour, Policy, TabularMDP, Trajectory, _boolean, _integer, _place_values, policy_cells, validate_mdp, validate_policy
+from .mdp import Behaviour, Policy, TabularMDP, Trajectory, _boolean, _integer, _place_values, policy_cells, validate_mdp
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,95 @@ def validate_model(mdp: TabularMDP, model: ObservationModel) -> list[str]:
     return problems
 
 
-def _require(mdp: TabularMDP, model: ObservationModel | None = None, policy: Policy | None = None) -> None:
-    """The one entry check of a public call: the MDP, then the model and the
-    policy when given, each refused with its own error type."""
+def _require(mdp: TabularMDP, model: ObservationModel | None = None) -> None:
+    """The one entry check of a public call: the MDP, then the model when
+    given, each refused with its own error type."""
     if problems := validate_mdp(mdp):
         raise InvalidParam("; ".join(problems))
     if model is not None and (problems := validate_model(mdp, model)):
         raise ModelMismatch("; ".join(problems))
-    if policy is not None and (problems := validate_policy(mdp, policy)):
-        raise PolicyMismatch("; ".join(problems))
+
+
+def validate_policy(mdp: TabularMDP, policy: Policy) -> list[str]:
+    """Return invariant violations of `policy` with respect to `mdp`.
+
+    Checks cell-level soundness (available actions, exact sums, point masses
+    for deterministic policies) plus coverage: the policy must be defined at
+    every non-terminal state reachable under it at every timestep. The MDP
+    is checked first, as by every public call.
+    """
+    _require(mdp)
+    return _walk_policy(mdp, policy, None)[0]
+
+
+def _walk_policy(mdp: TabularMDP, policy: Policy, model: ObservationModel | None) -> tuple:
+    """`validate_policy` on a checked MDP, as (problems, engine, leaf): the
+    engine compiled for (MDP, model) and the policy, and the (occupancy,
+    rewards, cells) of its one walk; both None if the rows do not fit."""
+    problems = []
+    seen_msg = set()
+
+    def add(msg):
+        if msg not in seen_msg:
+            seen_msg.add(msg)
+            problems.append(msg)
+
+    if policy.kind not in ("deterministic", "stochastic"):
+        add(f"unknown policy kind {policy.kind!r}")
+    if policy.horizon != mdp.horizon:
+        add(f"policy horizon {policy.horizon} does not match MDP horizon {mdp.horizon}")
+    if len(policy.rows) != policy.horizon:
+        add(f"policy has {len(policy.rows)} rows for horizon {policy.horizon}")
+        return problems, None, None
+    if policy.stationary and any(row is not policy.rows[0] and row != policy.rows[0] for row in policy.rows):
+        add("stationary policy has rows that differ; its one row is read at every step")
+
+    checked = set()
+    for t, row in enumerate(policy.rows):
+        if id(row) in checked:
+            continue
+        checked.add(id(row))
+        for s, entries in row.items():
+            if not (0 <= s < mdp.n_states):
+                add(f"policy row {t} references out-of-range state id {s}")
+                continue
+            label = mdp.states[s]
+            if mdp.is_terminal(s):
+                add(f"policy defines terminal state {label}; terminal actions are forced")
+                continue
+            if not entries:
+                add(f"policy cell for state {label} is empty")
+                continue
+            acts = [a for a, _ in entries]
+            if any(not (0 <= a < len(mdp.actions[s])) for a in acts):
+                add(f"policy cell for state {label} uses an unavailable action")
+                continue
+            if len(set(acts)) != len(acts):
+                add(f"policy cell for state {label} repeats an action")
+            if any(p <= 0 for _, p in entries):
+                add(f"policy cell for state {label} has a non-positive probability")
+            if sum(p for _, p in entries) != 1:
+                add(f"policy cell for state {label} does not sum to 1")
+            if policy.kind == "deterministic" and len(entries) != 1:
+                add(f"deterministic policy has a split cell at state {label}")
+
+    if policy.horizon != mdp.horizon:
+        return problems, None, None
+
+    # Coverage: one walk of the policy's own class. Each cell walks its
+    # entries with q > 0 at available actions; an undefined cell walks the
+    # empty cell, so its mass goes nowhere and the walk yields one leaf.
+    keys, rows = policy_cells(mdp, policy.stationary), policy.rows
+    cells = [[(a, q) for a, q in rows[t].get(s, ()) if q.numerator > 0 and 0 <= a < len(mdp.actions[s])] for t, s in keys]
+    den_pi = lcm(*(q.denominator for cell in cells for _, q in cell))
+    engine = _Engine(mdp, model, den_pi)
+    options = [[tuple([(q.numerator * (den_pi // q.denominator), engine.outs[s][a]) for a, q in cell])] for (_, s), cell in zip(keys, cells)]
+    ((_, dists, rewards, steps),) = engine.walk(policy.stationary, options)
+    for t in range(mdp.horizon):
+        for s in sorted(dists[t]):
+            if s not in rows[0 if policy.stationary else t] and not mdp.is_terminal(s):
+                add(f"policy undefined at t={t} for reachable state {mdp.states[s]}")
+    return problems, engine, (dists, rewards, steps)
 
 
 @dataclass(frozen=True)
@@ -413,24 +494,15 @@ class _Engine:
 
 
 def _evaluate(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> tuple:
-    """The one entry of a single-policy call: the MDP, the model if given and
-    the policy are checked once, and the engine (den_pi the lcm of the
-    policy's cell denominators) walks the class of `policy` alone. Returns
-    (engine, occupancy, rewards, tables), a table per start of `model`."""
-    _require(mdp, model, policy)
-    rows = policy.rows
-    den_pi = lcm(*(q.denominator for row in {id(r): r for r in rows}.values() for cell in row.values() for _, q in cell))
-    engine = _Engine(mdp, model, den_pi)
-    point, outs = engine.point, engine.outs
-
-    def cell(s, entries):
-        if len(entries) == 1:  # a point mass, as its sum is 1
-            return point[s][entries[0][0]]
-        return tuple((q.numerator * (den_pi // q.denominator), outs[s][a]) for a, q in entries)
-
-    # Cells the policy leaves undefined are never reached: it was checked.
-    options = [[cell(s, rows[t][s])] if s in rows[t] else [] for t, s in policy_cells(mdp, policy.stationary)]
-    ((_, dists, rewards, cells),) = engine.walk(policy.stationary, options)
+    """The one entry of a single-policy call: the MDP and the model if given
+    are checked, then the policy by the walk `validate_policy` reads, whose
+    leaf this returns as (engine, occupancy, rewards, tables), a table per
+    start of `model`."""
+    _require(mdp, model)
+    problems, engine, leaf = _walk_policy(mdp, policy, model)
+    if problems:
+        raise PolicyMismatch("; ".join(problems))
+    dists, rewards, cells = leaf
     return engine, dists, rewards, tuple(engine.window(t0, dists, cells) for t0 in (model.window_starts if model else ()))
 
 

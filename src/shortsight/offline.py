@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import ModelMismatch
 from .mdp import ONE, ZERO, Policy, TabularMDP, Trajectory, _integer
-from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop, _require
+from .observation import ObservationModel, ObservedSegment, SegmentDistribution, _crop, _evaluate
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def sample_dataset(
     """Draw n independent trajectories under the behavior policy."""
     n = _integer(n, "n", 1)
     seed = _integer(seed, "seed")
-    _require(mdp, policy=behavior)
+    _evaluate(mdp, behavior)  # the single-policy entry check; its leaf is not needed
     trajectories = _draw(mdp, behavior, n, seed, random.Random())
     return OfflineDataset(trajectories, behavior.describe(mdp), seed)
 

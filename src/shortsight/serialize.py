@@ -3,7 +3,7 @@
 Every probability and reward travels as an exact "p/q" string; documents
 round-trip exactly (parse(serialize(x)) == x). Parsing is strict: unknown
 fields are rejected with the offending field path, a rational string must be
-spelt exactly as `format_rational` writes its value, syntax errors carry the
+spelt exactly as `format_rational` writes it (`mdp.parse_rational`), syntax errors carry the
 line and column, and semantic problems are reported through the same
 validators the rest of the package uses.
 
@@ -18,33 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InvalidParam, ParseError, ValidationError
-from .mdp import Policy, TabularMDP, Trajectory, _boolean, _cell, _integer, _policy, build_mdp, validate_mdp, validate_policy
-from .observation import ObservationModel
+from .mdp import Policy, TabularMDP, Trajectory, _boolean, _cell, _integer, _policy, build_mdp, format_rational, parse_rational, validate_mdp
+from .observation import ObservationModel, validate_policy
 from .offline import OfflineDataset, _distinct
-
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-
-
-def format_rational(value: Fraction) -> str:
-    """The wire form of an exact rational: "n" or "n/d" in lowest terms,
-    which is exactly `str` of a Fraction (or of an int)."""
-    return str(value)
-
-
-def parse_rational(value, where: str | None) -> Fraction:
-    """The one rule for a rational string: exactly `format_rational` of its
-    value, so each rational has one spelling ("1/2", not "2/4" or "-0")."""
-    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
-        raise ParseError(f"expected an exact rational string like \"3/4\", got {value!r}", where)
-    rational = Fraction(value)
-    if format_rational(rational) != value:
-        raise ParseError(f"expected the canonical spelling {format_rational(rational)!r}, got {value!r}", where)
-    return rational
 
 
 def canonical_json(doc) -> str:

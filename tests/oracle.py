@@ -98,6 +98,88 @@ def plain_from_library(dist):
     }
 
 
+def oracle_validate_policy(mdp, policy):
+    """`validate_policy` with its coverage read off a forward pass over
+    sets of reachable states, independent of the engine's walk.
+
+    Return invariant violations of `policy` with respect to `mdp`.
+
+    Checks cell-level soundness (available actions, exact sums, point masses
+    for deterministic policies) plus coverage: the policy must be defined at
+    every non-terminal state reachable under it at every timestep.
+    """
+    problems = []
+    seen_msg = set()
+
+    def add(msg):
+        if msg not in seen_msg:
+            seen_msg.add(msg)
+            problems.append(msg)
+
+    if policy.kind not in ("deterministic", "stochastic"):
+        add(f"unknown policy kind {policy.kind!r}")
+    if policy.horizon != mdp.horizon:
+        add(f"policy horizon {policy.horizon} does not match MDP horizon {mdp.horizon}")
+    if len(policy.rows) != policy.horizon:
+        add(f"policy has {len(policy.rows)} rows for horizon {policy.horizon}")
+        return problems
+    if policy.stationary and any(row is not policy.rows[0] and row != policy.rows[0] for row in policy.rows):
+        add("stationary policy has rows that differ; its one row is read at every step")
+
+    checked = set()
+    for t, row in enumerate(policy.rows):
+        if id(row) in checked:
+            continue
+        checked.add(id(row))
+        for s, entries in row.items():
+            if not (0 <= s < mdp.n_states):
+                add(f"policy row {t} references out-of-range state id {s}")
+                continue
+            label = mdp.states[s]
+            if mdp.is_terminal(s):
+                add(f"policy defines terminal state {label}; terminal actions are forced")
+                continue
+            if not entries:
+                add(f"policy cell for state {label} is empty")
+                continue
+            acts = [a for a, _ in entries]
+            if any(not (0 <= a < len(mdp.actions[s])) for a in acts):
+                add(f"policy cell for state {label} uses an unavailable action")
+                continue
+            if len(set(acts)) != len(acts):
+                add(f"policy cell for state {label} repeats an action")
+            if any(p <= 0 for _, p in entries):
+                add(f"policy cell for state {label} has a non-positive probability")
+            if sum(p for _, p in entries) != 1:
+                add(f"policy cell for state {label} does not sum to 1")
+            if policy.kind == "deterministic" and len(entries) != 1:
+                add(f"deterministic policy has a split cell at state {label}")
+
+    if policy.horizon != mdp.horizon:
+        return problems
+
+    # Coverage walk: undefined cells are violations only where reachable.
+    support = {s for s, p in enumerate(mdp.initial) if p > 0}
+    for t in range(mdp.horizon):
+        nxt = set()
+        for s in support:
+            if mdp.is_terminal(s):
+                nxt.add(s)
+                continue
+            entries = policy.rows[t].get(s)
+            if entries is None:
+                add(f"policy undefined at t={t} for reachable state {mdp.states[s]}")
+                continue
+            for a, p in entries:
+                if p <= 0 or not (0 <= a < len(mdp.actions[s])):
+                    continue
+                for s2, pr, _ in mdp.transitions[s][a]:
+                    if pr > 0:
+                        nxt.add(s2)
+        support = nxt
+    return problems
+
+
 def all_stationary_policies(mdp):
     """Independent lexicographic enumeration of deterministic stationary policies."""
     nonterm = [s for s in range(mdp.n_states) if s not in mdp.terminal]

@@ -339,6 +339,54 @@ def test_cap_errors_name_their_source(prefix_files, capsys, monkeypatch):
     assert json.loads(out)["policy_class"]["enumerated"] == 1
 
 
+@pytest.fixture
+def integer_argv(tmp_path, prefix_files):
+    """Per integer flag, a command taking `value` there."""
+    mdp_path, obs_path = prefix_files
+    mdp = load_mdp(mdp_path)
+    pol_path = write_policy(tmp_path, mdp, half_behavior(mdp), "behavior.json")
+    sample = ["sample", "--mdp", mdp_path, "--behavior", pol_path, "-o", str(tmp_path / "data.json")]
+    return lambda flag, value: {
+        "gen --H": ["gen", "prefix", "-o", str(tmp_path / "g"), "--H", value],
+        "verify --H": ["verify", "--prop", "1", "--H", value],
+        "verify --prop": ["verify", "--H", "2", "--prop", value],
+        "eval --truncate": ["eval", "--mdp", mdp_path, "--policy", pol_path, "--truncate", value],
+        "ordering --h": ["ordering", "--mdp", mdp_path, "--h", value],
+        "sample --n": [*sample, "--seed", "0", "--n", value],
+        "sample --seed": [*sample, "--n", "2", "--seed", value],
+        "check --cap": ["check", "--mdp", mdp_path, "--obs", obs_path, "--cap", value],
+    }[flag]
+
+
+INTEGER_FLAGS = ["gen --H", "verify --H", "verify --prop", "eval --truncate", "ordering --h", "sample --n", "sample --seed", "check --cap"]
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "03", "+3", " 3 ", "-0", "2/1"])
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+def test_integer_flags_take_one_spelling(integer_argv, capsys, flag, text):
+    # `int` would read each of these (the Arabic-Indic digit as 3).
+    code, out, err = run_cli(capsys, *integer_argv(flag, text))
+    assert code == 2 and out == ""
+    name = flag.split()[1]
+    if name == "--cap":
+        assert f"--cap must be an integer, got {text!r}" in err
+    else:
+        assert f"argument {name}: expected an integer, got {text!r}" in err
+    assert run_cli(capsys, *integer_argv(flag, "3"))[0] == 0
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "03", "+3", " 3 ", "-0", "2/1"])
+def test_the_cap_variable_takes_one_spelling(prefix_files, capsys, monkeypatch, text):
+    mdp_path, obs_path = prefix_files
+    check = ["check", "--mdp", mdp_path, "--obs", obs_path]
+    monkeypatch.setenv("SHORTSIGHT_POLICY_CAP", text)
+    code, out, err = run_cli(capsys, *check)
+    assert code == 2 and out == ""
+    assert f"SHORTSIGHT_POLICY_CAP must be an integer, got {text!r}" in err
+    monkeypatch.setenv("SHORTSIGHT_POLICY_CAP", "3")
+    assert run_cli(capsys, *check)[0] == 0
+
+
 def test_reports_are_deterministic(capsys):
     first = run_cli(capsys, "verify", "--prop", "3", "--H", "3")
     second = run_cli(capsys, "verify", "--prop", "3", "--H", "3")

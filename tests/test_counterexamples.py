@@ -42,6 +42,19 @@ def test_a_bad_greedy_penalty_is_a_located_error(penalty):
         ss.build_greedy(2, penalty)
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e2", "1.0", "2/4", "007", "1\n"])
+def test_a_penalty_string_takes_one_spelling(text):
+    with pytest.raises(InvalidParam, match="penalty must be an exact rational"):
+        ss.CounterexampleSpec("greedy", 2, text)
+
+
+def test_a_penalty_string_in_the_one_spelling_is_read():
+    assert ss.CounterexampleSpec("greedy", 2, "100").penalty == 100
+    for text in ("1/2", "-3"):
+        with pytest.raises(InvalidParam, match=re.escape(f"M > H+1 (here H+1 = 3), got {Fraction(text)}")):
+            ss.CounterexampleSpec("greedy", 2, text)
+
+
 @pytest.mark.parametrize("window_length", [2.5, True, "2"])
 def test_builders_reject_a_non_integer_window_length(window_length):
     with pytest.raises(InvalidParam, match="window_length must be an integer"):

@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import weakref
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -8,12 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import shortsight as ss
-from shortsight import mdp as mdp_module
 from shortsight.mdp import Behaviour, _place_values, policy_at_index
 from shortsight.observation import _Engine
 from shortsight.sufficiency import _walk_class
 
-from oracle import all_nonstationary_policies, all_stationary_policies, oracle_members, oracle_occupancy
+from oracle import all_nonstationary_policies, all_stationary_policies, oracle_members, oracle_occupancy, oracle_validate_policy
 from randmdp import dense_mdp, random_mdp
 
 
@@ -111,17 +111,23 @@ def test_an_invalid_mdp_is_checked_and_refused_every_time(mdp_checks):
         with pytest.raises(ss.InvalidParam, match=r"\(a, x\) sum to 1/2"):
             ss.full_return(mdp, policy)
     assert len(mdp_checks) == 6
-    assert id(mdp) not in mdp_module._VALID
 
 
-def test_the_memo_lets_go_of_a_collected_mdp():
-    mdp = two_action_chain()
-    key = id(mdp)
-    assert ss.validate_mdp(mdp) == []
-    assert mdp_module._VALID.get(key) is mdp
-    del mdp
-    gc.collect()
-    assert key not in mdp_module._VALID
+def test_a_validated_mdp_is_freed_by_reference_counting_alone():
+    # What validation keeps on the MDP refers to nothing that refers back
+    # to it, so no cycle waits for the collector.
+    mdp, model = ss.build_prefix(2)
+    policy = ss.make_stationary(mdp, {"s0": "L"})
+    gc.disable()
+    try:
+        assert ss.validate_mdp(mdp) == []
+        ss.full_return(mdp, policy)
+        ss.check_sufficiency(mdp, model)
+        ref = weakref.ref(mdp)
+        del mdp
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_enumeration_single_choice_state():
@@ -342,10 +348,106 @@ def test_validate_policy_flags_terminal_cells():
     assert any("terminal" in p for p in ss.validate_policy(mdp, pol))
 
 
+def test_coverage_is_read_at_every_step_a_stationary_cell_is_reached():
+    # c is first reached at t=2 and again at t=3 (through b); a check that
+    # read a stationary cell only at its own t = 0 would miss both.
+    mdp = ss.build_mdp(
+        ["a", "b", "c", "g"],
+        {"a": ["x"], "b": ["x"], "c": ["x"]},
+        {
+            ("a", "x"): [("b", 1, 0)],
+            ("b", "x"): [("b", Fraction(1, 2), 0), ("c", Fraction(1, 2), 0)],
+            ("c", "x"): [("g", 1, 0)],
+        },
+        4, {"a": 1}, ["g"],
+    )
+    row = {0: ((0, Fraction(1)),), 1: ((0, Fraction(1)),)}
+    policy = ss.Policy("deterministic", 4, (row,) * 4, True)
+    expected = [
+        "policy undefined at t=2 for reachable state c",
+        "policy undefined at t=3 for reachable state c",
+    ]
+    assert ss.validate_policy(mdp, policy) == oracle_validate_policy(mdp, policy) == expected
+    with pytest.raises(ss.PolicyMismatch) as err:
+        ss.full_return(mdp, policy)
+    assert str(err.value) == "; ".join(expected)
+
+
+_PROBS = [Fraction(1)] * 6 + [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(-1, 2), Fraction(2)]
+
+
+def broken_policy(rng: random.Random, mdp) -> ss.Policy:
+    """A policy that may break every rule `validate_policy` checks: undefined
+    or empty cells, unavailable or repeated actions, non-positive or unsummed
+    entries, terminal or out-of-range keys, an unknown kind, another
+    horizon. A stationary one shares its one row object."""
+
+    def cell(s):
+        n = len(mdp.actions[s])
+        return tuple(
+            (rng.randrange(-1, n + 1) if rng.random() < 0.1 else rng.randrange(n), rng.choice(_PROBS))
+            for _ in range(rng.choice((0, 1, 1, 1, 1, 2, 3)))
+        )
+
+    def row():
+        states = [s for s in range(mdp.n_states) if s not in mdp.terminal or rng.random() < 0.05]
+        out = {s: cell(s) for s in states if rng.random() < 0.85}
+        if rng.random() < 0.05:
+            out[mdp.n_states] = ((0, Fraction(1)),)
+        return out
+
+    stationary = rng.random() < 0.5
+    kind = rng.choice(("deterministic", "stochastic", "deterministic", "stochastic", "greedy"))
+    horizon = mdp.horizon + (rng.random() < 0.03)
+    rows = (row(),) * horizon if stationary else tuple(row() for _ in range(horizon))
+    return ss.Policy(kind, horizon, rows, stationary)
+
+
+def test_validate_policy_matches_the_set_walk_on_broken_policies():
+    rng = random.Random(21)
+    covered = 0
+    for _ in range(4000):
+        mdp = random_mdp(rng, max_states=6, max_actions=3, max_horizon=6)
+        for _ in range(5):
+            policy = broken_policy(rng, mdp)
+            expected = oracle_validate_policy(mdp, policy)
+            assert ss.validate_policy(mdp, policy) == expected, (mdp, policy)
+            covered += any("undefined" in p for p in expected)
+    assert covered > 2000
+
+
 def test_rational_coercion_refuses_floats():
     with pytest.raises(TypeError):
         ss.rational(0.5)
     assert ss.rational("2/3") == Fraction(2, 3)
+
+
+def _chain(prob=1, reward=0, initial=1):
+    return ss.build_mdp(["a", "b"], {"a": ["x"]}, {("a", "x"): [("b", prob, reward)]}, 1, {"a": initial}, ["b"])
+
+
+# Each library call that takes a rational, given a string there: the value it keeps.
+RATIONAL_SITES = {
+    "rational": ss.rational,
+    "build_mdp prob": lambda text: _chain(prob=text).transitions[0][0][0][1],
+    "build_mdp reward": lambda text: _chain(reward=text).transitions[0][0][0][2],
+    "build_mdp initial": lambda text: _chain(initial=text).initial[0],
+    "make_stationary cell": lambda text: ss.make_stationary(two_action_chain(), {"s": {"u": text}}).rows[0][0][0][1],
+}
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e2", "1.0", "2/4", "007", "1\n"])
+@pytest.mark.parametrize("site", RATIONAL_SITES)
+def test_library_rationals_refuse_every_other_spelling(site, text):
+    # `Fraction` would read each of these; documents and --M refuse them.
+    with pytest.raises(ss.ParseError, match=re.escape(repr(text))):
+        RATIONAL_SITES[site](text)
+
+
+@pytest.mark.parametrize("text", ["1/2", "-3", "100"])
+@pytest.mark.parametrize("site", RATIONAL_SITES)
+def test_library_rationals_take_the_one_spelling(site, text):
+    assert RATIONAL_SITES[site](text) == Fraction(text)
 
 
 def test_build_mdp_rejects_unknown_labels():
