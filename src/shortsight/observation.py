@@ -131,13 +131,21 @@ def _require(mdp: TabularMDP, model: ObservationModel | None = None) -> None:
 def validate_policy(mdp: TabularMDP, policy: Policy) -> list[str]:
     """Return invariant violations of `policy` with respect to `mdp`.
 
-    Checks cell-level soundness (available actions, exact sums, point masses
-    for deterministic policies) plus coverage: the policy must be defined at
-    every non-terminal state reachable under it at every timestep. The MDP
-    is checked first, as by every public call.
+    Checks cell-level soundness (tuples of (int action id, int or Fraction
+    probability) pairs, available actions, exact sums, point masses for
+    deterministic policies) plus coverage: the policy must be defined at
+    every non-terminal state reachable under it at every timestep; a cell
+    of other entries stops the check before coverage. The MDP is checked
+    first, as by every public call.
     """
     _require(mdp)
     return _walk_policy(mdp, policy, None)[0]
+
+
+def _exact_pair(entry) -> bool:
+    """Whether a cell entry is a pair the engine reads exactly: an int
+    action id and an int or Fraction probability, neither a bool."""
+    return type(entry) is tuple and len(entry) == 2 and type(entry[0]) is int and type(entry[1]) in (int, Fraction)
 
 
 def _walk_policy(mdp: TabularMDP, policy: Policy, model: ObservationModel | None) -> tuple:
@@ -162,7 +170,7 @@ def _walk_policy(mdp: TabularMDP, policy: Policy, model: ObservationModel | None
     if policy.stationary and any(row is not policy.rows[0] and row != policy.rows[0] for row in policy.rows):
         add("stationary policy has rows that differ; its one row is read at every step")
 
-    checked = set()
+    checked, readable = set(), True
     for t, row in enumerate(policy.rows):
         if id(row) in checked:
             continue
@@ -174,6 +182,10 @@ def _walk_policy(mdp: TabularMDP, policy: Policy, model: ObservationModel | None
             label = mdp.states[s]
             if mdp.is_terminal(s):
                 add(f"policy defines terminal state {label}; terminal actions are forced")
+                continue
+            if type(entries) is not tuple or not all(map(_exact_pair, entries)):
+                add(f"policy cell for state {label} is not a tuple of (action id, exact probability) pairs: {entries!r}")
+                readable = False
                 continue
             if not entries:
                 add(f"policy cell for state {label} is empty")
@@ -191,7 +203,7 @@ def _walk_policy(mdp: TabularMDP, policy: Policy, model: ObservationModel | None
             if policy.kind == "deterministic" and len(entries) != 1:
                 add(f"deterministic policy has a split cell at state {label}")
 
-    if policy.horizon != mdp.horizon:
+    if policy.horizon != mdp.horizon or not readable:
         return problems, None, None
 
     # Coverage: one walk of the policy's own class. Each cell walks its
@@ -367,7 +379,7 @@ class _Engine:
         at reached cells still undecided, the occupancy's keys. The walk
         keeps its own stack, so the horizon does not bound the call depth.
         """
-        mdp, point, nr, r_num = self.mdp, self.point, self.nr, self.r_num
+        mdp, point = self.mdp, self.point
         cells = policy_cells(mdp, stationary)
         radices = [len(o) for o in options]
         places = _place_values(radices)
@@ -406,18 +418,25 @@ class _Engine:
             for k, a in zip(pending, combo):
                 digits[k] = a
             step = {s: point[s][0] if k is None else options[k][digits[k]] for s, k in here}
-            dist, acc, nxt = dists[-1], [0] * nr, {}
-            for s, cell in step.items():
-                m = dist[s]
-                for q, o in cell:
-                    mq = m * q
-                    for s2, p, r, _ in o:
-                        w = mq * p
-                        acc[r] += w
-                        nxt[s2] = nxt.get(s2, 0) + w
+            nxt, reward = self.advance(dists[-1], step)
             dists.append(nxt)
-            rewards.append(sum(map(mul, r_num, acc)))
+            rewards.append(reward)
             steps.append(step)
+
+    def advance(self, dist, step) -> tuple[dict, int]:
+        """The forward DP's one step: from occupancy `dist` at t, each state
+        taking its cell in `step`, the occupancy at t + 1 and the expected
+        reward of step t, over the denominators `_leaf` states."""
+        acc, nxt = [0] * self.nr, {}
+        for s, cell in step.items():
+            m = dist[s]
+            for q, o in cell:
+                mq = m * q
+                for s2, p, r, _ in o:
+                    w = mq * p
+                    acc[r] += w
+                    nxt[s2] = nxt.get(s2, 0) + w
+        return nxt, sum(map(mul, self.r_num, acc))
 
     def _leaf(self, behaviour: Behaviour, dists, rewards, steps) -> tuple:
         """The walk's per-leaf step: (behaviour, occupancy, rewards, cells).

@@ -1,7 +1,8 @@
 """Seeded random small MDPs and observation models for oracle comparisons.
 
 Kept deliberately small (<= 6 states, <= 2 actions, <= 2 successors, T <= 4)
-so exhaustive trajectory enumeration in the oracle stays trivial.
+so exhaustive trajectory enumeration in the oracle stays trivial; layered
+MDPs have at most 12 non-terminal states and T <= 7.
 """
 
 from __future__ import annotations
@@ -76,3 +77,40 @@ def dense_mdp(n_states=7, horizon=6):
         for r, a in enumerate(actions[s])
     }
     return build_mdp(states, actions, transitions, horizon, {s: p for s in states})
+
+
+def layered_mdp(rng: random.Random, max_layers=4, max_width=3, max_actions=2):
+    """States in layers 0..L, with transitions only into the next layer and
+    the last layer terminal, so each state is reachable at one step only.
+
+    Rewards are in {0, 1} half the time, so that returns tie, and every
+    transition is deterministic a third of the time. The horizon may end
+    before the last layer or run up to three steps past it.
+    """
+    depth = rng.randint(1, max_layers)
+    layers = [[f"y{t}_{i}" for i in range(rng.randint(1, max_width))] for t in range(depth + 1)]
+    coarse, deterministic = rng.random() < 0.5, rng.random() < 1 / 3
+    actions, transitions = {}, {}
+    for t in range(depth):
+        for s in layers[t]:
+            actions[s] = [f"a{j}" for j in range(rng.randint(1, max_actions))]
+            for a in actions[s]:
+                succ = rng.sample(layers[t + 1], 1 if deterministic else min(rng.randint(1, 2), len(layers[t + 1])))
+                if len(succ) == 1:
+                    probs = [Fraction(1)]
+                else:
+                    den = rng.randint(2, 4)
+                    num = rng.randint(1, den - 1)
+                    probs = [Fraction(num, den), Fraction(den - num, den)]
+                transitions[(s, a)] = [
+                    (s2, p, Fraction(rng.randint(0, 1)) if coarse else Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                    for s2, p in zip(succ, probs)
+                ]
+    first = layers[0]
+    if len(first) == 1 or rng.random() < 0.5:
+        initial = {rng.choice(first): 1}
+    else:
+        i, j = rng.sample(first, 2)
+        initial = {i: Fraction(1, 2), j: Fraction(1, 2)}
+    states = [s for layer in layers for s in layer]
+    return build_mdp(states, actions, transitions, rng.randint(1, depth + 3), initial, layers[-1])

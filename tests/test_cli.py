@@ -65,6 +65,15 @@ def test_verify_prop2_reports_paper_values(capsys):
     assert computed["full return of all-patient"] == "0"
 
 
+def test_verify_prop2_covers_a_large_class_under_a_cap_above_it(capsys):
+    # 2^33 policies in 2^17 behaviours: every claim holds over the whole
+    # class, which the ordering check summarises in 34 memo nodes.
+    code, out, _ = run_cli(capsys, "verify", "--prop", "2", "--H", "16", "--M", "160", "--cap", "1000000000000000")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert "class truncated by the cap" not in out
+
+
 def test_verify_all_props_exit_zero(capsys):
     assert run_cli(capsys, "verify", "--prop", "1", "--H", "2")[0] == 0
     assert run_cli(capsys, "verify", "--prop", "3", "--H", "2")[0] == 0

@@ -348,6 +348,31 @@ def test_validate_policy_flags_terminal_cells():
     assert any("terminal" in p for p in ss.validate_policy(mdp, pol))
 
 
+@pytest.mark.parametrize("cell", [
+    ((0, 0.5), (1, 0.5)),  # floats that sum to 1
+    ((0, 1.0),),
+    ((0.0, Fraction(1)),),  # a float action id
+    ((True, Fraction(1)),),  # bools
+    ((0, True),),
+    (("L", Fraction(1)),),  # an action label
+    ((0,),),  # not a pair
+    [(0, Fraction(1))],  # not a tuple
+    Fraction(1),
+])
+def test_validate_policy_refuses_a_cell_of_inexact_entries(prefix3, cell):
+    # The cell checks and the engine read entries as (int, exact) pairs;
+    # anything else is refused at the cell, before the coverage walk.
+    mdp, _ = prefix3
+    row = dict(ss.make_stationary(mdp, {"s0": "L"}).rows[0])
+    row[mdp.index("s0")] = cell
+    policy = ss.Policy("stochastic", mdp.horizon, (row,) * mdp.horizon, True)
+    message = f"policy cell for state s0 is not a tuple of (action id, exact probability) pairs: {cell!r}"
+    assert ss.validate_policy(mdp, policy) == [message]
+    with pytest.raises(ss.PolicyMismatch) as err:
+        ss.full_return(mdp, policy)
+    assert str(err.value) == message
+
+
 def test_coverage_is_read_at_every_step_a_stationary_cell_is_reached():
     # c is first reached at t=2 and again at t=3 (through b); a check that
     # read a stationary cell only at its own t = 0 would miss both.

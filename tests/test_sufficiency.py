@@ -22,7 +22,7 @@ from oracle import (
     oracle_truncated_return,
     oracle_witness,
 )
-from randmdp import dense_mdp, random_mdp, random_model
+from randmdp import dense_mdp, layered_mdp, random_mdp, random_model
 from test_goldens import workloads  # the benchmark's input builders
 
 
@@ -284,6 +284,13 @@ def test_quotiented_checkers_match_brute_force(seed, stationary, data):
         assert (w.index_a, w.index_b, w.return_a, w.return_b) == expected
         assert (w.policy_a, w.policy_b) == (policies[expected[0]], policies[expected[1]])
 
+    report = _ordering_matches_the_oracle(mdp, last_step, stationary, cap, policies)
+    assert report.policy_class == pclass
+
+
+def _ordering_matches_the_oracle(mdp, last_step, stationary, cap, policies):
+    """Assert that the ordering report over the first `cap` policies equals
+    `oracle_ordering` over `policies`, described ones included; return it."""
     report = ss.check_objective_consistency(mdp, last_step, stationary=stationary, cap=cap)
     t_argmax, f_argmax, best_t, best_f, agrees = oracle_ordering(mdp, policies, last_step)
     assert (report.truncated_argmax, report.full_argmax) == (t_argmax, f_argmax)
@@ -292,7 +299,58 @@ def test_quotiented_checkers_match_brute_force(seed, stationary, data):
     assert report.ordering_agrees == agrees
     assert _describe_policies(mdp, t_argmax, stationary) == [policies[i].describe(mdp) for i in t_argmax]
     assert _describe_policies(mdp, f_argmax, stationary) == [policies[i].describe(mdp) for i in f_argmax]
-    assert report.policy_class == pclass
+    return report
+
+
+def _deterministic(mdp):
+    """`mdp` with each action moving to its first successor with probability
+    1. Masses then keep one scale at every depth, so one occupancy met at
+    two depths is equal as ints there."""
+    transitions = tuple(tuple(((outs[0][0], Fraction(1), outs[0][2]),) for outs in row) for row in mdp.transitions)
+    return ss.TabularMDP(mdp.states, mdp.actions, transitions, mdp.horizon, mdp.initial, mdp.terminal)
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["stationary layered", "nonstationary layered", "nonstationary"]),
+    data=st.data(),
+)
+def test_memoised_ordering_matches_the_oracle(seed, shape, data):
+    # In these classes every cell below a walk node is undecided at it, so
+    # the ordering check summarises each (depth, occupancy) once and lists
+    # the argmax members in a second descent. "nonstationary" draws MDPs
+    # whose states recur at several depths, half of them deterministic, so
+    # that one occupancy recurs at two depths; the horizons reach 5 to 7,
+    # so that the memo holds nodes at several depths.
+    rng = random.Random(seed)
+    stationary = shape == "stationary layered"
+    for _ in range(100):
+        if shape == "nonstationary":
+            mdp = random_mdp(rng, max_states=3, max_horizon=5)
+            mdp = _deterministic(mdp) if rng.random() < 0.5 else mdp
+        else:
+            mdp = layered_mdp(rng, *((4, 3) if stationary else (2, 2)))
+        total = ss.policy_class_size(mdp, stationary)
+        if total <= 256:
+            break
+    assume(total <= 256)
+    if shape != "nonstationary":
+        assert sufficiency._layered(observation._Engine(mdp))
+    cap = data.draw(st.one_of(st.integers(1, total), st.just(ss.DEFAULT_CAP)), label="cap")
+    enumerate_class = all_stationary_policies if stationary else all_nonstationary_policies
+    _ordering_matches_the_oracle(mdp, rng.randint(0, mdp.horizon), stationary, cap, list(islice(enumerate_class(mdp), cap)))
+
+
+def test_memo_keys_on_depth():
+    # One state, whose occupancy is the same int at every depth: a memo
+    # keyed on occupancy alone would take depth 2's summary, two steps of
+    # reward, from depth 1's, three steps.
+    mdp = ss.build_mdp(["a"], {"a": ["x", "y"]}, {("a", "x"): [("a", 1, 1)], ("a", "y"): [("a", 1, 0)]}, 4, {"a": 1})
+    report = ss.check_objective_consistency(mdp, 1, stationary=False)
+    assert (report.best_truncated, report.best_full) == (2, 4)
+    assert (report.truncated_argmax, report.full_argmax) == ((0, 1, 2, 3), (0,))
+    assert report.argmax_intersects and not report.ordering_agrees
 
 
 def _count_evaluations(monkeypatch):
@@ -317,10 +375,68 @@ def test_checkers_evaluate_behaviours_not_policies(monkeypatch):
     assert verdict.policy_class.enumerated == 8192
     assert calls == {"leaf": 128}
 
+    # The greedy MDP is layered, so the ordering check walks no leaf: it
+    # summarises each (depth, occupancy) at depths 1 to T - 2 = 7 once, the
+    # clean and the flagged state of each depth. Its steps, the argmax
+    # descent's and the second descent of each recurring node included,
+    # grow as 10H + 12.
     calls.clear()
+    _count_memo_nodes(monkeypatch, calls)
+    _count_steps(monkeypatch, calls)
     report = ss.check_objective_consistency(mdp, 6)
     assert report.policy_class.enumerated == 8192
-    assert calls == {"leaf": 128}
+    assert calls == {"memo": 14, "step": 72}
+
+
+def test_a_stationary_class_on_an_mdp_that_is_not_layered_is_walked(monkeypatch):
+    # Each state of this benchmark input is reachable at several steps, so a
+    # cell below a walk node may be decided above it: the ordering check
+    # walks every behaviour, and summarises none.
+    mdp, _, _ = workloads.random_dense_docs(ss, 0, 7)
+    calls = _count_evaluations(monkeypatch)
+    _count_memo_nodes(monkeypatch, calls)
+    report = ss.check_objective_consistency(mdp, 2)
+    assert report.policy_class.enumerated == 128
+    assert calls == {"leaf": 108}
+
+
+def test_ordering_covers_a_large_greedy_class(monkeypatch):
+    # 2^29 policies in 2^15 behaviours, summarised in 30 memo nodes.
+    mdp, _ = ss.build_greedy(14, 140)
+    calls = Counter()
+    _count_memo_nodes(monkeypatch, calls)
+    report = ss.check_objective_consistency(mdp, 14, cap=10**15)
+    assert calls == {"memo": 30}
+    assert report.policy_class == ss.PolicyClass("deterministic-stationary", 2**29, 2**29, False)
+    assert (report.best_truncated, report.best_full) == (15, 0)
+    assert len(report.truncated_argmax) == len(report.full_argmax) == 2**14
+    assert not set(report.truncated_argmax) & set(report.full_argmax)
+    assert not report.argmax_intersects
+    assert not report.ordering_agrees
+
+
+def _count_steps(monkeypatch, calls):
+    """Count, in `calls`, the forward DP's steps."""
+    inner = observation._Engine.advance
+
+    def wrapper(*args):
+        calls["step"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(observation._Engine, "advance", wrapper)
+
+
+def _count_memo_nodes(monkeypatch, calls):
+    """Count, in `calls`, the nodes the ordering check's memoised pass
+    keeps in its memo."""
+    inner = sufficiency._summaries
+
+    def wrapper(*args):
+        memo, root, pairs = inner(*args)
+        calls["memo"] += len(memo)
+        return memo, root, pairs
+
+    monkeypatch.setattr(sufficiency, "_summaries", wrapper)
 
 
 def _count_windows(monkeypatch, calls):
@@ -468,10 +584,19 @@ def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
     assert verdict.policy_class == ss.PolicyClass("deterministic-nonstationary", 50, 2**42, True)
     assert calls == {"leaf": 50}
 
+    # The ordering check summarises this nonstationary class without a walk.
+    # Below the cap each depth has one node, and the node at depth 5 = T - 1
+    # has 50 leaves: 55 steps. The memo holds the nodes at depths 1 to 4,
+    # each keyed by itself, as its members run past the cap. The argmax
+    # descent takes the 55 steps again: each node of the chain holds both
+    # maxima, and the node at depth 5, not memoised, is entered to read its
+    # leaves.
     calls.clear()
+    _count_memo_nodes(monkeypatch, calls)
+    _count_steps(monkeypatch, calls)
     report = ss.check_objective_consistency(mdp, 2, stationary=False, cap=50)
     assert report.policy_class.enumerated == 50
-    assert calls == {"leaf": 50}
+    assert calls == {"memo": 4, "step": 110}
 
 
 def test_checkers_reject_an_invalid_mdp():
