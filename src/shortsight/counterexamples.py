@@ -13,7 +13,9 @@ Each builder returns a (TabularMDP, ObservationModel) pair:
   branch was taken.
 
 `verify_proposition` re-derives each family's claimed exact values with the
-engine and reports a per-claim pass/fail table.
+engine and reports a per-claim pass/fail table. Each of a proposition's two
+policies is walked once, and both its returns (proposition 2) or its segment
+distribution and full return (1 and 3) are read off that one leaf.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvalidParam, ParseError
-from .evaluate import full_return, truncated_return
+from .evaluate import _leaf_return
 from .mdp import Policy, TabularMDP, _integer, build_mdp, make_stationary, rational
-from .observation import ObservationModel, all_window_starts, distributions_equal, identity_phi, segment_distribution
+from .observation import ObservationModel, _evaluate, _segments, all_window_starts, distributions_equal, identity_phi
 from .sufficiency import (
     DEFAULT_CAP,
     PolicyClass,
@@ -252,15 +254,15 @@ def _verify_commit(proposition: int, spec: CounterexampleSpec, cap: int) -> Prop
         remedy = "the identity feature map"
         control = replace(model, phi=identity_phi(mdp))
     pol_l, pol_r = commit_policies(mdp)
-    dist_l = segment_distribution(mdp, pol_l, model)
-    dist_r = segment_distribution(mdp, pol_r, model)
+    leaf_l, leaf_r = _evaluate(mdp, pol_l, model), _evaluate(mdp, pol_r, model)
     verdict = check_sufficiency(mdp, model, cap=cap)
     w = verdict.witness
     control_verdict = check_sufficiency(mdp, control, cap=cap)
     checks = [
-        _flag_claim(f"segment distributions under {view}", "equal", "different", True, distributions_equal(dist_l, dist_r)),
-        _value_claim(f"full return of the L-{noun} policy", Fraction(1), full_return(mdp, pol_l)),
-        _value_claim(f"full return of the R-{noun} policy", Fraction(0), full_return(mdp, pol_r)),
+        _flag_claim(f"segment distributions under {view}", "equal", "different", True,
+                    distributions_equal(_segments(pol_l, leaf_l), _segments(pol_r, leaf_r))),
+        _value_claim(f"full return of the L-{noun} policy", Fraction(1), _leaf_return(leaf_l, mdp.horizon - 1)),
+        _value_claim(f"full return of the R-{noun} policy", Fraction(0), _leaf_return(leaf_r, mdp.horizon - 1)),
         _scoped(_flag_claim(
             "window statistics identify the optimal policy",
             "sufficient", "not sufficient", False, verdict.sufficient,
@@ -282,15 +284,16 @@ def _verify_greedy(spec: CounterexampleSpec, cap: int) -> PropositionReport:
     h, m = spec.window_length, spec.penalty
     mdp, _ = build_counterexample(spec)
     all_greedy, all_patient = greedy_policies(mdp)
-    ret_greedy = full_return(mdp, all_greedy)
-    ret_patient = full_return(mdp, all_patient)
+    leaf_greedy, leaf_patient = _evaluate(mdp, all_greedy), _evaluate(mdp, all_patient)
+    ret_greedy = _leaf_return(leaf_greedy, mdp.horizon - 1)
+    ret_patient = _leaf_return(leaf_patient, mdp.horizon - 1)
     report = check_objective_consistency(mdp, h, cap=cap)
     pclass = report.policy_class
 
     checks = [
-        _value_claim("truncated return of all-greedy (steps 0..H)", Fraction(h + 1), truncated_return(mdp, all_greedy, h)),
+        _value_claim("truncated return of all-greedy (steps 0..H)", Fraction(h + 1), _leaf_return(leaf_greedy, h)),
         _scoped(_value_claim("truncated-return maximum over the class", Fraction(h + 1), report.best_truncated), pclass),
-        _value_claim("truncated return of all-patient", Fraction(0), truncated_return(mdp, all_patient, h)),
+        _value_claim("truncated return of all-patient", Fraction(0), _leaf_return(leaf_patient, h)),
         _value_claim("full return of all-greedy", Fraction(h + 1) - m, ret_greedy),
         _value_claim("full return of all-patient", Fraction(0), ret_patient),
         _scoped(_value_claim("full-return maximum over the class", Fraction(0), report.best_full), pclass),

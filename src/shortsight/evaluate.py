@@ -33,7 +33,7 @@ def step_rewards(mdp: TabularMDP, policy: Policy) -> tuple[Fraction, ...]:
 
 def full_return(mdp: TabularMDP, policy: Policy) -> Fraction:
     """Exact expected episode return of `policy` on `mdp`."""
-    return _return(mdp, policy, mdp.horizon - 1)
+    return _leaf_return(_evaluate(mdp, policy), mdp.horizon - 1)
 
 
 def truncated_return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fraction:
@@ -42,7 +42,7 @@ def truncated_return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fractio
     `last_step` is the inclusive index of the final reward term, so a value
     of h keeps h+1 terms; any last_step >= T-1 reproduces the full return.
     """
-    return _return(mdp, policy, last_step)
+    return _leaf_return(_evaluate(mdp, policy), last_step)
 
 
 def _kept_steps(mdp: TabularMDP, last_step: int) -> int:
@@ -51,9 +51,11 @@ def _kept_steps(mdp: TabularMDP, last_step: int) -> int:
     return min(_integer(last_step, "last_step", 0) + 1, mdp.horizon)
 
 
-def _return(mdp: TabularMDP, policy: Policy, last_step: int) -> Fraction:
-    engine, _, rewards, _ = _evaluate(mdp, policy)
-    steps = _kept_steps(mdp, last_step)
+def _leaf_return(leaf: tuple, last_step: int) -> Fraction:
+    """`truncated_return` read off a leaf of `observation._evaluate`, under
+    a model or none: the step rewards do not depend on the model."""
+    engine, _, rewards, _ = leaf
+    steps = _kept_steps(engine.mdp, last_step)
     return Fraction(engine.total(rewards[:steps]), engine.den(steps))
 
 

@@ -16,8 +16,9 @@ engine starts its own segment trie. Its one forward DP is a depth-first
 walk over a policy class that advances the occupancy one step per node and
 yields one leaf per behaviour; a single policy is a class of one, walked to
 its one leaf, and `validate_policy` reads what the policy reaches off that
-leaf. A window DP runs from a leaf's occupancy and cells, one start at a
-time, on request. The engine interns features, action labels (by label, so
+leaf, as the readers of a single-policy call read its returns and tables.
+A window DP runs from a leaf's occupancy and cells, one start at a time, on
+request. The engine interns features, action labels (by label, so
 one label at two states is one id) and reward values (as ints over their
 lcm, so no Fraction is hashed) as small ints in sorted order, so each
 value's id is its rank, and a segment is an id in a trie over per-step
@@ -131,12 +132,14 @@ def _require(mdp: TabularMDP, model: ObservationModel | None = None) -> None:
 def validate_policy(mdp: TabularMDP, policy: Policy) -> list[str]:
     """Return invariant violations of `policy` with respect to `mdp`.
 
-    Checks cell-level soundness (tuples of (int action id, int or Fraction
-    probability) pairs, available actions, exact sums, point masses for
-    deterministic policies) plus coverage: the policy must be defined at
-    every non-terminal state reachable under it at every timestep; a cell
-    of other entries stops the check before coverage. The MDP is checked
-    first, as by every public call.
+    Checks row shape (each row a dict keyed by int state ids, bools
+    excluded), cell-level soundness (tuples of (int action id, int or
+    Fraction probability) pairs, available actions, positive entries summing
+    to 1, both read on the entries' numerators and denominators, point
+    masses for deterministic policies) plus coverage: the policy must be
+    defined at every non-terminal state reachable under it at every
+    timestep; a row or a cell of other entries stops the check before
+    coverage. The MDP is checked first, as by every public call.
     """
     _require(mdp)
     return _walk_policy(mdp, policy, None)[0]
@@ -175,6 +178,10 @@ def _walk_policy(mdp: TabularMDP, policy: Policy, model: ObservationModel | None
         if id(row) in checked:
             continue
         checked.add(id(row))
+        if type(row) is not dict or not all(type(s) is int for s in row):
+            add(f"policy row {t} is not a dict keyed by int state ids: {row!r}")
+            readable = False
+            continue
         for s, entries in row.items():
             if not (0 <= s < mdp.n_states):
                 add(f"policy row {t} references out-of-range state id {s}")
@@ -196,9 +203,10 @@ def _walk_policy(mdp: TabularMDP, policy: Policy, model: ObservationModel | None
                 continue
             if len(set(acts)) != len(acts):
                 add(f"policy cell for state {label} repeats an action")
-            if any(p <= 0 for _, p in entries):
+            if any(p.numerator <= 0 for _, p in entries):
                 add(f"policy cell for state {label} has a non-positive probability")
-            if sum(p for _, p in entries) != 1:
+            d = lcm(*(p.denominator for _, p in entries))
+            if sum(p.numerator * (d // p.denominator) for _, p in entries) != d:
                 add(f"policy cell for state {label} does not sum to 1")
             if policy.kind == "deterministic" and len(entries) != 1:
                 add(f"deterministic policy has a split cell at state {label}")
@@ -515,14 +523,13 @@ class _Engine:
 def _evaluate(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> tuple:
     """The one entry of a single-policy call: the MDP and the model if given
     are checked, then the policy by the walk `validate_policy` reads, whose
-    leaf this returns as (engine, occupancy, rewards, tables), a table per
-    start of `model`."""
+    leaf this returns as (engine, occupancy, rewards, cells) for readers
+    such as `_segments` and `evaluate._leaf_return`."""
     _require(mdp, model)
     problems, engine, leaf = _walk_policy(mdp, policy, model)
     if problems:
         raise PolicyMismatch("; ".join(problems))
-    dists, rewards, cells = leaf
-    return engine, dists, rewards, tuple(engine.window(t0, dists, cells) for t0 in (model.window_starts if model else ()))
+    return (engine, *leaf)
 
 
 def segment_distribution(
@@ -536,7 +543,15 @@ def segment_distribution(
     as they meet in the same underlying state, so aliasing collapses mass
     exactly where the learner cannot tell trajectories apart.
     """
-    engine, _, _, tables = _evaluate(mdp, policy, model)
+    return _segments(policy, _evaluate(mdp, policy, model))
+
+
+def _segments(policy: Policy, leaf: tuple) -> SegmentDistribution:
+    """`segment_distribution` read off a leaf of `_evaluate` under a model:
+    one window DP per start."""
+    engine, dists, _, cells = leaf
+    model = engine.model
+    tables = [engine.window(t0, dists, cells) for t0 in model.window_starts]
     labels, ranks = engine.labelled()
     acts, rews = model.observe_actions, model.observe_rewards
     per_start = []
@@ -545,7 +560,7 @@ def segment_distribution(
         rows = ((labels[seg], Fraction(m, den)) for seg, m in sorted(table, key=lambda item: ranks[item[0]]))
         segs = ((ObservedSegment(t0, f, a[1:] if acts else None, r[1:] if rews else None), p) for (f, a, r), p in rows)
         per_start.append((t0, tuple(segs)))
-    return SegmentDistribution(model=model, policy_id=policy.describe(mdp), per_start=tuple(per_start))
+    return SegmentDistribution(model=model, policy_id=policy.describe(engine.mdp), per_start=tuple(per_start))
 
 
 def distributions_equal(a: SegmentDistribution, b: SegmentDistribution) -> bool:

@@ -373,6 +373,26 @@ def test_validate_policy_refuses_a_cell_of_inexact_entries(prefix3, cell):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("row", [
+    {"s0": ((0, Fraction(1)),)},  # a state label
+    [((0, Fraction(1)),)],  # a list row
+    {0.0: ((0, Fraction(1)),)},  # a float key
+    None,
+    {True: ((0, Fraction(1)),)},  # a bool key, which would read as state 1
+])
+def test_validate_policy_refuses_a_row_that_is_not_keyed_by_state_ids(prefix3, row):
+    # The cell checks and the engine read a row as a dict of int state ids;
+    # anything else is refused at the row, before the coverage walk.
+    mdp, _ = prefix3
+    good = ss.make_stationary(mdp, {"s0": "L"}).rows[0]
+    policy = ss.Policy("deterministic", mdp.horizon, (row,) + (good,) * (mdp.horizon - 1), False)
+    message = f"policy row 0 is not a dict keyed by int state ids: {row!r}"
+    assert ss.validate_policy(mdp, policy) == [message]
+    with pytest.raises(ss.PolicyMismatch) as err:
+        ss.full_return(mdp, policy)
+    assert str(err.value) == message
+
+
 def test_coverage_is_read_at_every_step_a_stationary_cell_is_reached():
     # c is first reached at t=2 and again at t=3 (through b); a check that
     # read a stationary cell only at its own t = 0 would miss both.
@@ -398,7 +418,7 @@ def test_coverage_is_read_at_every_step_a_stationary_cell_is_reached():
     assert str(err.value) == "; ".join(expected)
 
 
-_PROBS = [Fraction(1)] * 6 + [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(-1, 2), Fraction(2)]
+_PROBS = [Fraction(1)] * 6 + [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 6), Fraction(0), Fraction(-1, 2), Fraction(2), 1, 0, -1, 2]
 
 
 def broken_policy(rng: random.Random, mdp) -> ss.Policy:

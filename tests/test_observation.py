@@ -406,18 +406,35 @@ def compiles(monkeypatch):
 
 def test_engines_built_in_turn_on_one_mdp_compile_once(compiles):
     # Proposition 2 runs every check on one MDP without a model; 1 and 3
-    # alternate a model, its control and no model.
+    # alternate a model and its control, and read both returns off the
+    # walks under the model.
     ss.verify_proposition(2, 3, 5)
     assert len(compiles) == 1
     for prop in (1, 3):
         compiles.clear()
         ss.verify_proposition(prop, 3)
-        assert len(compiles) == 3
+        assert len(compiles) == 2
     compiles.clear()
     mdp, _ = ss.build_greedy(3, 10)
     policy = ss.mdp.policy_at_index(mdp, 0)
     assert ss.full_return(mdp, policy) == ss.full_return(mdp, policy)
     assert compiles == [(None, 1)]
+
+
+@pytest.mark.parametrize("prop, penalty", [(1, None), (2, 5), (3, None)])
+def test_verify_walks_each_policy_once(monkeypatch, prop, penalty):
+    # Each proposition reads both of its policies' returns, and their
+    # segment distributions, off one single-policy walk per policy.
+    walks = []
+    inner = observation._walk_policy
+
+    def wrapper(mdp, policy, model):
+        walks.append(policy)
+        return inner(mdp, policy, model)
+
+    monkeypatch.setattr(observation, "_walk_policy", wrapper)
+    assert ss.verify_proposition(prop, 3, penalty).passed
+    assert len(walks) == 2 and walks[0] != walks[1]
 
 
 def test_an_mdp_is_freed_by_reference_counting_alone():
