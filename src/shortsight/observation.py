@@ -14,9 +14,13 @@ engine's integer tables are kept on the MDP, one set for the last (model,
 den_pi) compiled, so calls in turn on one MDP and model compile once; each
 engine starts its own segment trie. Its one forward DP is a depth-first
 walk over a policy class that advances the occupancy one step per node and
-yields one leaf per behaviour; a single policy is a class of one, walked to
-its one leaf, and `validate_policy` reads what the policy reaches off that
-leaf, as the readers of a single-policy call read its returns and tables.
+yields one leaf per behaviour. It is the one expander of the class tree: a
+caller that needs less than every leaf passes a hook that sees each node as
+the walk enters it and may skip the node's subtree or keep a leaf from being
+yielded, as the ordering check's two passes do. A single policy is a class
+of one, walked to its one leaf, and `validate_policy` reads what the policy
+reaches off that leaf, as the readers of a single-policy call read its
+returns and tables.
 A window DP runs from a leaf's occupancy and cells, one start at a time, on
 request. The engine interns features, action labels (by label, so
 one label at two states is one id) and reward values (as ints over their
@@ -39,7 +43,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import InvalidParam, InvalidTrajectory, ModelMismatch, PolicyMismatch
 from .mdp import Behaviour, Policy, TabularMDP, Trajectory, _boolean, _integer, _place_values, policy_cells, validate_mdp
@@ -371,9 +375,15 @@ class _Engine:
         self.kids: dict[int, int] = {}
         self.parent, self.sym = [0], [0]
 
-    def walk(self, stationary: bool, options: Sequence[Sequence], cap: int | None = None) -> Iterator[tuple]:
-        """Depth-first over a policy class: one `_leaf` per behaviour, and
-        with a `cap` only those whose first member is below it.
+    def walk(self, stationary: bool, options: Sequence[Sequence], cap: int | None = None, enter: Callable[..., bool] | None = None) -> Iterator[tuple]:
+        """Depth-first over a policy class: one leaf per behaviour, and with a
+        `cap` only those whose first member is below it.
+
+        A leaf is (behaviour, occupancy, rewards, cells). occupancy[t] maps
+        state ids to masses over d0 * step**t; rewards[t], the expected
+        reward of step t, is over r_den * d0 * step**(t+1); cells[t] maps
+        each state reached at t to the cell it takes there. A leaf runs no
+        window DP: `window` runs one start's, when asked.
 
         Nonstationary leaves come by ascending first member, as a depth's
         cells are all less significant than the ones decided above it. A
@@ -386,6 +396,14 @@ class _Engine:
         policy. Each node advances the occupancy one step and branches only
         at reached cells still undecided, the occupancy's keys. The walk
         keeps its own stack, so the horizon does not bound the call depth.
+
+        `enter(t, first, digits, occupancy, step_reward)`, when given, is
+        called at every node below the root whose first member is below the
+        cap, leaves included: t is the node's depth, `digits` the walk's own
+        list of the option index taken at each cell (None while undecided),
+        and the occupancy and step reward are the node's occupancy[t] and
+        rewards[t - 1], in the units above. A true result skips the node: an
+        inner node's subtree is not walked, and a leaf is not yielded.
         """
         mdp, point = self.mdp, self.point
         cells = policy_cells(mdp, stationary)
@@ -395,13 +413,13 @@ class _Engine:
         digits: list[int | None] = [None] * len(cells)
         # One frame per open node: (here, pending, combos, first); a frame's
         # step, once taken, is the last of dists, rewards and steps.
-        dists, rewards, steps, frames, first = [self.init], [], [], [], 0
+        dists, rewards, steps, frames, first, entered = [self.init], [], [], [], 0, True
         while True:
             t = len(frames)
-            if t == mdp.horizon:
+            if entered and t == mdp.horizon:
                 free = tuple((radices[k], places[k]) for k, d in enumerate(digits) if d is None and radices[k] > 1)
-                yield self._leaf(Behaviour(first, free), dists, rewards, steps)
-            else:
+                yield Behaviour(first, free), tuple(dists), tuple(rewards), tuple(steps)
+            elif entered:
                 # Terminal states have no cell; their forced action is 0.
                 here = [(s, position.get((0 if stationary else t, s))) for s in sorted(dists[-1])]
                 pending = [k for _, k in here if k is not None and digits[k] is None]
@@ -430,11 +448,12 @@ class _Engine:
             dists.append(nxt)
             rewards.append(reward)
             steps.append(step)
+            entered = enter is None or not enter(len(frames), first, digits, nxt, reward)
 
     def advance(self, dist, step) -> tuple[dict, int]:
         """The forward DP's one step: from occupancy `dist` at t, each state
         taking its cell in `step`, the occupancy at t + 1 and the expected
-        reward of step t, over the denominators `_leaf` states."""
+        reward of step t, over the denominators a leaf of `walk` holds it in."""
         acc, nxt = [0] * self.nr, {}
         for s, cell in step.items():
             m = dist[s]
@@ -445,16 +464,6 @@ class _Engine:
                     acc[r] += w
                     nxt[s2] = nxt.get(s2, 0) + w
         return nxt, sum(map(mul, self.r_num, acc))
-
-    def _leaf(self, behaviour: Behaviour, dists, rewards, steps) -> tuple:
-        """The walk's per-leaf step: (behaviour, occupancy, rewards, cells).
-
-        occupancy[t] maps state ids to masses over d0 * step**t; rewards[t],
-        the expected reward of step t, is over r_den * d0 * step**(t+1);
-        cells[t] maps each state reached at t to the cell it takes there. A
-        leaf runs no window DP: `window` runs one start's, when asked.
-        """
-        return behaviour, tuple(dists), tuple(rewards), tuple(steps)
 
     def total(self, rewards) -> int:
         """The sum of a leaf's `rewards`, over den(len(rewards))."""

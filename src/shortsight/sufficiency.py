@@ -18,19 +18,20 @@ leaf. Where every cell below a walk node is undecided at it (any
 nonstationary class, and a stationary class on a layered MDP) the subtree
 below the node depends only on its depth and occupancy, so the check
 summarises each (depth, occupancy) once and lists the argmax members in a
-second descent; otherwise one pass over the walk holds only the maxima,
-their argmax members and what agreement still needs.
+second walk; both passes are hooks on the engine's walk, which skip the
+subtrees they need not enter. Otherwise one pass over the walk holds only
+the maxima, their argmax members and what agreement still needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise, product
-from typing import Iterator
+from functools import partial
+from itertools import pairwise
 
 from .evaluate import _kept_steps
-from .mdp import Behaviour, Policy, TabularMDP, _integer, _place_values, policy_at_index, policy_cells, policy_class_size
+from .mdp import Policy, TabularMDP, _integer, _place_values, policy_at_index, policy_cells, policy_class_size
 from .observation import ObservationModel, _Engine, _require
 
 DEFAULT_CAP = 10**6
@@ -105,10 +106,10 @@ def _enter(mdp: TabularMDP, model: ObservationModel | None, stationary: bool, ca
     return PolicyClass(kind, min(total, cap), total, total > cap), _Engine(mdp, model)
 
 
-def _walk_class(engine: _Engine, stationary: bool, cap: int | None):
+def _walk_class(engine: _Engine, stationary: bool, cap: int | None, enter=None):
     """The engine's walk over the deterministic class: every point mass at every cell."""
     cells = policy_cells(engine.mdp, stationary)
-    return engine.walk(stationary, [engine.point[s] for _, s in cells], cap)
+    return engine.walk(stationary, [engine.point[s] for _, s in cells], cap, enter)
 
 
 def _refinement_order(starts: tuple[int, ...]) -> tuple[int, ...]:
@@ -212,60 +213,18 @@ def _layered(engine: _Engine) -> bool:
     return True
 
 
-class _Tree:
-    """The walk tree of a deterministic class in which every cell that a
-    node's subtree reaches is undecided at the node: any nonstationary
-    class, and a stationary class on a `_layered` MDP. So the subtree below
-    a node depends only on its depth and occupancy. A node's members are its
-    first index plus every combination of the digits it leaves undecided;
-    `span` is their largest sum."""
-
-    def __init__(self, engine: _Engine, stationary: bool, cap: int):
-        cells = policy_cells(engine.mdp, stationary)
-        self.engine, self.stationary, self.cap = engine, stationary, cap
-        self.position = {cell: k for k, cell in enumerate(cells)}
-        self.radices = [len(engine.point[s]) for _, s in cells]
-        self.places = _place_values(self.radices)
-        self.span = sum((r - 1) * w for r, w in zip(self.radices, self.places))
-
-    def children(self, t: int, dist, first: int, span: int) -> tuple[list[int], Iterator[tuple]]:
-        """The cells a node at depth t decides, and its children below the
-        cap in index order, each as (first, span, occupancy, step reward)."""
-        here = [(s, self.position.get((0 if self.stationary else t, s))) for s in sorted(dist)]
-        pending = [k for _, k in here if k is not None]
-        span -= sum((self.radices[k] - 1) * self.places[k] for k in pending)
-
-        def kids():
-            for combo in product(*(range(self.radices[k]) for k in pending)):
-                child = first + sum(a * self.places[k] for k, a in zip(pending, combo))
-                if child >= self.cap:
-                    return
-                # Terminal states have no cell; their forced action is 0.
-                digit = dict(zip(pending, combo))
-                yield child, span, *self.engine.advance(dist, {s: self.engine.point[s][digit.get(k, 0)] for s, k in here})
-
-        return pending, kids()
-
-    def key(self, t: int, dist, first: int, span: int) -> tuple:
-        """A node's memo key. Its summary covers its members below the cap:
-        when every member is below it, that is its subtree, which its depth
-        and occupancy fix; otherwise the node is keyed by itself, which its
-        depth and first index name."""
-        return (t, tuple(sorted(dist.items()))) if first + span < self.cap else (t, first)
-
-
 class _Node:
-    """An open node of the memoised pass: its depth, key and children left;
-    the truncated and full values `pt`, `pf` of the path above it; over the
-    children taken so far, the truncated and full suffix maxima and whether
-    one behaviour reaches both; and the dict of (truncated -> full) leaf
-    values it adds to: its own when its key was met again, so that the memo
-    keeps it, else its parent's."""
+    """An open node of the memoised pass: its key; the truncated and full
+    values `pt`, `pf` of the path above it; over the children taken so far,
+    the truncated and full suffix maxima and whether one behaviour reaches
+    both; and the dict of (truncated -> full) leaf values it adds to: its own
+    when its key was met again, so that the memo keeps it, else its
+    parent's."""
 
-    __slots__ = ("t", "key", "kids", "pt", "pf", "bt", "bf", "both", "pairs")
+    __slots__ = ("key", "pt", "pf", "bt", "bf", "both", "pairs")
 
-    def __init__(self, t, key, kids, pt, pf, pairs):
-        self.t, self.key, self.kids, self.pt, self.pf, self.pairs = t, key, kids, pt, pf, pairs
+    def __init__(self, key, pt, pf, pairs):
+        self.key, self.pt, self.pf, self.pairs = key, pt, pf, pairs
         self.bt = self.bf = None
         self.both = False
 
@@ -284,89 +243,92 @@ def _union(into: dict, pairs) -> bool:
     return all(into.setdefault(k, v) == v for k, v in pairs)
 
 
-def _summaries(tree: _Tree, weights) -> tuple[dict, _Node, dict | None]:
-    """The memoised pass, as (memo, root, pairs).
+def _summaries(walk, weights, key) -> tuple[dict, _Node, dict | None]:
+    """The memoised pass, as (memo, root, pairs): the hook of one `walk`,
+    which it lets through no leaf.
 
     A node's summary is its truncated and full suffix maxima and whether one
     behaviour reaches both, as ints over the class's two denominators
     (`weights[t]` scales step t's reward into each). It is computed once per
-    memo key, by descending the node, and taken from the memo wherever the
-    key recurs. The memo holds the nodes at depths 1 to T - 2: the root
-    never recurs, and a node at depth T - 1 is summarised from its leaves
-    wherever it is met, as the nodes of that depth are the most numerous
-    and, where occupancies are rarely shared, a key for each would only
-    cost time and memory. `pairs` maps each truncated value of the class to
-    its full value while no tie breaks, else is None. Until then a node
-    whose key recurs also keeps its own pairs, with the path values they
-    were taken under; a node met again after its pairs went to its
-    parent's dict is descended once more, and kept from then on.
+    memo key, by walking the node, and taken from the memo wherever the key
+    recurs, the node's subtree skipped. The memo holds the nodes at depths
+    1 to T - 2: the root never recurs, and a node at depth T - 1 is
+    summarised from its leaves wherever it is met, as the nodes of that
+    depth are the most numerous and, where occupancies are rarely shared, a
+    key for each would only cost time and memory. The open nodes are a
+    stack by depth; the walk is depth-first, so the nodes at depth t or
+    deeper are closed, and their summaries complete, when a node at depth t
+    is entered. Each leaf is folded into its parent where it is entered.
+    `pairs` maps each truncated value of the class to its full value while
+    no tie breaks, else is None. Until then a node whose key recurs also
+    keeps its own pairs, with the path values they were taken under; a node
+    met again after its pairs went to its parent's dict is walked once
+    more, and kept from then on.
     """
     T, memo, again = len(weights), {}, set()
-    root = _Node(0, None, tree.children(0, tree.engine.init, 0, tree.span)[1], 0, 0, {})
-    stack, agreeing = [root], True
-    while stack:
-        node = stack[-1]
-        child = next(node.kids, None)
-        if child is None:
-            stack.pop()
+    stack, agreeing = [_Node(None, 0, 0, {})], True
+
+    def close(t: int) -> None:
+        """Close the open nodes at depth t or deeper, each into its parent."""
+        nonlocal agreeing
+        while len(stack) > t:
+            node = stack.pop()
             kept = (node.pt, node.pf, node.pairs) if agreeing and node.key in again else None
             if node.key is not None:
                 memo[node.key] = (node.bt, node.bf, node.both, kept)
-            if stack:
-                up = stack[-1]
-                up.take(node.bt + node.pt - up.pt, node.bf + node.pf - up.pf, node.both)
-                if agreeing and node.pairs is not up.pairs:
-                    agreeing = _union(up.pairs, node.pairs.items())
-            continue
-        first, span, dist, r = child
-        wt, wf = r * weights[node.t][0], r * weights[node.t][1]
-        t, pt, pf = node.t + 1, node.pt + wt, node.pf + wf
+            up = stack[-1]
+            up.take(node.bt + node.pt - up.pt, node.bf + node.pf - up.pf, node.both)
+            if agreeing and node.pairs is not up.pairs:
+                agreeing = _union(up.pairs, node.pairs.items())
+
+    def enter(t, first, digits, dist, r) -> bool:
+        nonlocal agreeing
+        close(t)
+        node = stack[-1]
+        wt, wf = r * weights[t - 1][0], r * weights[t - 1][1]
+        pt, pf = node.pt + wt, node.pf + wf
         if t == T:
             node.take(wt, wf, True)
             agreeing = agreeing and node.pairs.setdefault(pt, pf) == pf
-            continue
-        key = tree.key(t, dist, first, span) if t < T - 1 else None
-        hit = memo.get(key)
+            return True
+        k = key(t, first, digits, dist) if t < T - 1 else None
+        hit = memo.get(k)
         if hit is not None and (not agreeing or hit[3] is not None):
             node.take(hit[0] + wt, hit[1] + wf, hit[2])
             if agreeing:
                 qt, qf, pairs = hit[3]
-                agreeing = _union(node.pairs, ((k + pt - qt, v + pf - qf) for k, v in pairs.items()))
-            continue
+                agreeing = _union(node.pairs, ((v + pt - qt, w + pf - qf) for v, w in pairs.items()))
+            return True
         if hit is not None:
-            again.add(key)
-        pairs = {} if key in again else node.pairs
-        stack.append(_Node(t, key, tree.children(t, dist, first, span)[1], pt, pf, pairs))
+            again.add(k)
+        stack.append(_Node(k, pt, pf, {} if k in again else node.pairs))
+        return False
+
+    for _ in walk(enter):
+        pass
+    close(1)
+    root = stack[0]
     return memo, root, root.pairs if agreeing else None
 
 
-def _argmax(tree: _Tree, memo: dict, weights, best) -> tuple[list[int], list[int]]:
+def _argmax(walk, memo: dict, weights, best, key, cap: int) -> tuple[list[int], list[int]]:
     """The members at the truncated and the full maximum, each ascending: a
-    second descent that enters a node only where its memoised maxima reach
-    one of the class's (a node at depth T - 1, not memoised, is entered to
-    read its leaves)."""
+    second `walk`, whose hook skips a node whose memoised maxima reach
+    neither of the class's (a node at depth T - 1, not memoised, is entered
+    to read its leaves)."""
     T, argmax = len(weights), ([], [])
-    stack = [(*tree.children(0, tree.engine.init, 0, tree.span), 0, 0)]
-    while stack:
-        pending, kids, pt, pf = stack[-1]
-        child = next(kids, None)
-        if child is None:
-            stack.pop()
-            continue
-        first, span, dist, r = child
-        t = len(stack)
-        vt, vf = pt + r * weights[t - 1][0], pf + r * weights[t - 1][1]
+    path = [(0, 0)] * (T + 1)  # the truncated and full values of the path to each depth
+
+    def enter(t, first, digits, dist, r) -> bool:
+        vt, vf = path[t] = path[t - 1][0] + r * weights[t - 1][0], path[t - 1][1] + r * weights[t - 1][1]
         if t < T - 1:
-            bt, bf, _, _ = memo[tree.key(t, dist, first, span)]
-            if vt + bt != best[0] and vf + bf != best[1]:
-                continue
-        if t < T:
-            stack.append((*tree.children(t, dist, first, span), vt, vf))
-            continue
-        decided = {k for frame in stack for k in frame[0]}
-        free = tuple((n, w) for k, (n, w) in enumerate(zip(tree.radices, tree.places)) if n > 1 and k not in decided)
-        members = Behaviour(first, free).members(tree.cap)
-        for k, value in enumerate((vt, vf)):
+            bt, bf, _, _ = memo[key(t, first, digits, dist)]
+            return vt + bt != best[0] and vf + bf != best[1]
+        return False
+
+    for behaviour, *_ in walk(enter):
+        members = behaviour.members(cap)
+        for k, value in enumerate(path[T]):
             if value == best[k]:
                 argmax[k].extend(members)
     for members in argmax:
@@ -376,13 +338,31 @@ def _argmax(tree: _Tree, memo: dict, weights, best) -> tuple[list[int], list[int
 
 def _memoised(engine: _Engine, stationary: bool, keep: int, cap: int) -> tuple:
     """The ordering check's (maxima, argmax members, intersects, pairs) by
-    the memoised pass and the argmax descent."""
+    the memoised pass and the argmax walk. The class is one in which every
+    cell that a node's subtree reaches is undecided at the node: any
+    nonstationary class, and a stationary class on a `_layered` MDP. So the
+    subtree below a node depends only on its depth and occupancy."""
     T, step = engine.mdp.horizon, engine.step
     weights = [(step ** (keep - 1 - t) if t < keep else 0, step ** (T - 1 - t)) for t in range(T)]
-    tree = _Tree(engine, stationary, cap)
-    memo, root, pairs = _summaries(tree, weights)
+    radices = [len(engine.point[s]) for _, s in policy_cells(engine.mdp, stationary)]
+    spans = [(n - 1) * w for n, w in zip(radices, _place_values(radices))]
+    whole = sum(spans) < cap
+
+    def key(t, first, digits, dist) -> tuple:
+        """A node's memo key. A node's members are its first index plus
+        every combination of the digits it leaves undecided, and its summary
+        covers those below the cap: when every member is below it (always,
+        when the whole class is), that is its subtree, which its depth and
+        occupancy fix; otherwise the node is keyed by itself, which its
+        depth and first index name."""
+        if whole or first + sum(w for w, d in zip(spans, digits) if d is None) < cap:
+            return t, tuple(sorted(dist.items()))
+        return t, first
+
+    walk = partial(_walk_class, engine, stationary, cap)
+    memo, root, pairs = _summaries(walk, weights, key)
     best = (root.bt, root.bf)
-    return best, _argmax(tree, memo, weights, best), root.both, pairs
+    return best, _argmax(walk, memo, weights, best, key, cap), root.both, pairs
 
 
 def _scanned(engine: _Engine, keep: int, cap: int) -> tuple:
@@ -427,12 +407,16 @@ def check_objective_consistency(
     When the class is nonstationary, or the MDP is `_layered`, a memo keeps
     per (depth, occupancy) the truncated and full suffix maxima, whether one
     behaviour reaches both and, while no tie has broken and the key
-    recurs, its (truncated, full) values. A node is taken from the memo only
-    when every member index in it is below the cap; one that straddles the
-    cap is descended and summarised for itself, so a capped class gets the
-    answers a walk gives. The argmax members come from a second descent
-    that enters only the subtrees whose maximum reaches the class's. A
-    stationary class on an MDP that is not layered is walked leaf by leaf.
+    recurs, its (truncated, full) values. This pass is a hook on the
+    engine's walk that skips the subtree of each node it takes from the
+    memo, and folds each leaf into its parent without letting it through. A
+    node is taken from the memo only when every member index in it is below
+    the cap; one that straddles the cap is walked and summarised for itself,
+    so a capped class gets the answers a walk gives. The argmax members come
+    from a second walk whose hook enters only the subtrees whose maximum
+    reaches the class's, and reads the members off the leaves it lets
+    through. A stationary class on an MDP that is not layered is walked leaf
+    by leaf.
     """
     pclass, engine = _enter(mdp, None, stationary, cap)
     keep = _kept_steps(mdp, last_step)

@@ -6,7 +6,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import shortsight as ss
 from shortsight.mdp import Behaviour, _place_values, policy_at_index
@@ -270,22 +270,70 @@ def test_capped_behaviours_are_those_first_below_the_cap(stationary):
             assert list(_walk_class(_Engine(mdp), stationary, cap)) == below
 
 
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), stationary=st.booleans(), cut=st.sampled_from(["1", "total/3", "none"]))
+def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
+    # `enter` sees each node the walk steps to, leaves included, and none
+    # whose first member is at or past the cap. A node it refuses drops
+    # exactly the leaves below it; refusing every leaf yields nothing, yet
+    # takes every forward DP step of the plain walk. A node is named by its
+    # depth and the digits decided down to it.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=4, max_horizon=3)
+    total = ss.policy_class_size(mdp, stationary)
+    assume(total <= 512)
+    cap = {"1": 1, "total/3": max(1, total // 3), "none": None}[cut]
+
+    def walk(enter=None):
+        engine, steps = _Engine(mdp), []
+        inner = engine.advance
+        engine.advance = lambda *args: steps.append(1) or inner(*args)
+        return list(_walk_class(engine, stationary, cap, enter)), len(steps)
+
+    def refused(node):
+        return random.Random(repr((seed, node))).random() < 0.25
+
+    plain, plain_steps = walk()
+    paths, path, entered = [], [], []
+
+    def record(t, first, digits, dist, r):
+        assert cap is None or first < cap
+        entered.append(t)
+        path[t - 1 :] = [(t, tuple(digits))]
+        if t == mdp.horizon:
+            paths.append(tuple(path))
+        return False
+
+    assert walk(record) == (plain, plain_steps)
+    assert len(entered) == plain_steps and len(paths) == len(plain)
+
+    def skip(t, first, digits, dist, r):
+        assert cap is None or first < cap
+        return refused((t, tuple(digits)))
+
+    kept = [leaf for leaf, nodes in zip(plain, paths) if not any(map(refused, nodes))]
+    assert walk(skip)[0] == kept
+    assert walk(lambda t, *_: t == mdp.horizon) == ([], plain_steps)
+
+
 def test_cap_bounds_the_walk_of_a_huge_class(monkeypatch):
     # 2 ** 42 nonstationary policies, each its own behaviour: the walk must
-    # stop at the cap instead of visiting the whole class.
+    # stop at the cap instead of visiting the whole class. It takes one
+    # forward DP step per node: the 1000 leaves and the 12 inner nodes above
+    # them.
     mdp = dense_mdp(7, 6)
     assert ss.policy_class_size(mdp, stationary=False) == 2**42
-    leaves = []
-    inner = _Engine._leaf
+    steps = []
+    inner = _Engine.advance
 
     def counted(*args):
-        leaves.append(1)
+        steps.append(1)
         return inner(*args)
 
-    monkeypatch.setattr(_Engine, "_leaf", counted)
+    monkeypatch.setattr(_Engine, "advance", counted)
     firsts = [leaf[0].first for leaf in _walk_class(_Engine(mdp), False, 1000)]
     assert firsts == list(range(1000))
-    assert len(leaves) == 1000
+    assert len(steps) == 1012
 
 
 def test_make_stationary_fills_forced_states():

@@ -354,15 +354,17 @@ def test_memo_keys_on_depth():
 
 
 def _count_evaluations(monkeypatch):
-    """Count calls of the walk's per-leaf step, run once per behaviour."""
+    """Count the leaves that the checkers' walks of the class yield, one per
+    behaviour a walk lets through."""
     calls = Counter()
-    inner = observation._Engine._leaf
+    inner = sufficiency._walk_class
 
     def wrapper(*args, **kwargs):
-        calls["leaf"] += 1
-        return inner(*args, **kwargs)
+        for leaf in inner(*args, **kwargs):
+            calls["leaf"] += 1
+            yield leaf
 
-    monkeypatch.setattr(observation._Engine, "_leaf", wrapper)
+    monkeypatch.setattr(sufficiency, "_walk_class", wrapper)
     return calls
 
 
@@ -375,17 +377,18 @@ def test_checkers_evaluate_behaviours_not_policies(monkeypatch):
     assert verdict.policy_class.enumerated == 8192
     assert calls == {"leaf": 128}
 
-    # The greedy MDP is layered, so the ordering check walks no leaf: it
-    # summarises each (depth, occupancy) at depths 1 to T - 2 = 7 once, the
-    # clean and the flagged state of each depth. Its steps, the argmax
-    # descent's and the second descent of each recurring node included,
-    # grow as 10H + 12.
+    # The greedy MDP is layered, so the ordering check's memoised pass lets
+    # no leaf through: it summarises each (depth, occupancy) at depths 1 to
+    # T - 2 = 7 once, the clean and the flagged state of each depth. Its
+    # steps, the argmax walk's and the second walk of each recurring node
+    # included, grow as 10H + 12. The argmax walk yields the two leaves at
+    # a maximum.
     calls.clear()
     _count_memo_nodes(monkeypatch, calls)
     _count_steps(monkeypatch, calls)
     report = ss.check_objective_consistency(mdp, 6)
     assert report.policy_class.enumerated == 8192
-    assert calls == {"memo": 14, "step": 72}
+    assert calls == {"memo": 14, "step": 72, "leaf": 2}
 
 
 def test_a_stationary_class_on_an_mdp_that_is_not_layered_is_walked(monkeypatch):
@@ -584,19 +587,19 @@ def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
     assert verdict.policy_class == ss.PolicyClass("deterministic-nonstationary", 50, 2**42, True)
     assert calls == {"leaf": 50}
 
-    # The ordering check summarises this nonstationary class without a walk.
-    # Below the cap each depth has one node, and the node at depth 5 = T - 1
-    # has 50 leaves: 55 steps. The memo holds the nodes at depths 1 to 4,
-    # each keyed by itself, as its members run past the cap. The argmax
-    # descent takes the 55 steps again: each node of the chain holds both
-    # maxima, and the node at depth 5, not memoised, is entered to read its
-    # leaves.
+    # The ordering check's memoised pass summarises this nonstationary class
+    # and lets no leaf through. Below the cap each depth has one node, and
+    # the node at depth 5 = T - 1 has 50 leaves: 55 steps. The memo holds
+    # the nodes at depths 1 to 4, each keyed by itself, as its members run
+    # past the cap. The argmax walk takes the 55 steps again: each node of
+    # the chain holds both maxima, and the node at depth 5, not memoised, is
+    # entered to read its leaves, so the walk yields all 50.
     calls.clear()
     _count_memo_nodes(monkeypatch, calls)
     _count_steps(monkeypatch, calls)
     report = ss.check_objective_consistency(mdp, 2, stationary=False, cap=50)
     assert report.policy_class.enumerated == 50
-    assert calls == {"memo": 4, "step": 110}
+    assert calls == {"memo": 4, "step": 110, "leaf": 50}
 
 
 def test_checkers_reject_an_invalid_mdp():
