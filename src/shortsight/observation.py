@@ -311,11 +311,10 @@ def _check_trajectory(mdp: TabularMDP, trajectory: Trajectory) -> None:
             )
 
 
-def _compile(mdp: TabularMDP, model: ObservationModel | None, den_pi: int) -> tuple:
-    """The integer tables of (MDP, model, den_pi), in `_Engine`'s attribute
-    order: d0, step, init, rewards, r_den, r_num, features, labels, nf, nr,
-    nsym, root, outs and point. They hold ints, strings and Fractions only,
-    nothing that refers back to the MDP."""
+def _compile(mdp: TabularMDP, model: ObservationModel | None, den_pi: int) -> dict:
+    """The integer tables of (MDP, model, den_pi), by `_Engine` attribute
+    name. They hold ints, strings and Fractions only, nothing that refers
+    back to the MDP."""
     d = lcm(*(p.denominator for row in mdp.transitions for outs in row for _, p, _ in outs))
     d0 = lcm(*(p.denominator for p in mdp.initial))
     init = {s: p.numerator * (d0 // p.denominator) for s, p in enumerate(mdp.initial) if p}
@@ -347,8 +346,8 @@ def _compile(mdp: TabularMDP, model: ObservationModel | None, den_pi: int) -> tu
             outs[-1].append(tuple(kept))
     # The cell of each point mass, by (state, action id).
     point = [[((den_pi, o),) for o in row] for row in outs]
-    rewards = [Fraction(n, r_den) for n in r_num]
-    return d0, d * den_pi, init, rewards, r_den, r_num, features, labels, nf, nr, nsym, root, outs, point
+    return dict(d0=d0, step=d * den_pi, init=init, rewards=[Fraction(n, r_den) for n in r_num], r_den=r_den, r_num=r_num,
+                features=features, labels=labels, nf=nf, nr=nr, nsym=nsym, root=root, outs=outs, point=point)
 
 
 class _Engine:
@@ -368,14 +367,16 @@ class _Engine:
         if key != (model, den_pi):
             tables = _compile(mdp, model, den_pi)
             object.__setattr__(mdp, "_compiled", ((model, den_pi), tables))
-        (self.d0, self.step, self.init, self.rewards, self.r_den, self.r_num, self.features, self.labels,
-         self.nf, self.nr, self.nsym, self.root, self.outs, self.point) = tables
+        # setattr, not vars(self).update: CPython keeps set attributes in the
+        # class's shared-key layout, which reads faster than a plain dict.
+        for name, value in tables.items():
+            setattr(self, name, value)
         # Segment ids: a trie over step symbols. Id 0 is the empty segment;
         # kids maps parent * nsym + symbol to the child id.
         self.kids: dict[int, int] = {}
         self.parent, self.sym = [0], [0]
 
-    def walk(self, stationary: bool, options: Sequence[Sequence], cap: int | None = None, enter: Callable[..., bool] | None = None) -> Iterator[tuple]:
+    def walk(self, stationary: bool, options: Sequence[Sequence] | None = None, cap: int | None = None, enter: Callable[..., bool] | None = None) -> Iterator[tuple]:
         """Depth-first over a policy class: one leaf per behaviour, and with a
         `cap` only those whose first member is below it.
 
@@ -392,28 +393,34 @@ class _Engine:
         stationary leaves need not come in that order.
 
         Cell k of `policy_cells(mdp, stationary)` takes one of `options[k]`:
-        every point mass for the deterministic class, one cell for a single
-        policy. Each node advances the occupancy one step and branches only
-        at reached cells still undecided, the occupancy's keys. The walk
-        keeps its own stack, so the horizon does not bound the call depth.
+        one cell for a single policy, and when `options` is omitted every
+        point mass, the deterministic class. Each node advances the
+        occupancy one step and branches only at reached cells still
+        undecided, the occupancy's keys. The walk keeps its own stack, so
+        the horizon does not bound the call depth.
 
-        `enter(t, first, digits, occupancy, step_reward)`, when given, is
+        `enter(t, first, last, occupancy, step_reward)`, when given, is
         called at every node below the root whose first member is below the
-        cap, leaves included: t is the node's depth, `digits` the walk's own
-        list of the option index taken at each cell (None while undecided),
-        and the occupancy and step reward are the node's occupancy[t] and
-        rewards[t - 1], in the units above. A true result skips the node: an
-        inner node's subtree is not walked, and a leaf is not yielded.
+        cap, leaves included: t is the node's depth, `first` and `last` the
+        smallest and largest index of a member of the node in the whole
+        class, and the occupancy and step reward are the node's occupancy[t]
+        and rewards[t - 1], in the units above. A true result skips the
+        node: an inner node's subtree is not walked, and a leaf is not
+        yielded.
         """
         mdp, point = self.mdp, self.point
         cells = policy_cells(mdp, stationary)
+        options = [point[s] for _, s in cells] if options is None else options
         radices = [len(o) for o in options]
         places = _place_values(radices)
+        spans = [(n - 1) * w for n, w in zip(radices, places)]
         position = {cell: k for k, cell in enumerate(cells)}
         digits: list[int | None] = [None] * len(cells)
-        # One frame per open node: (here, pending, combos, first); a frame's
-        # step, once taken, is the last of dists, rewards and steps.
-        dists, rewards, steps, frames, first, entered = [self.init], [], [], [], 0, True
+        # One frame per open node: (here, pending, combos, first, span), span
+        # the most that the digits its children leave undecided add to an
+        # index; a frame's step, once taken, is the last of dists, rewards
+        # and steps.
+        dists, rewards, steps, frames, first, span, entered = [self.init], [], [], [], 0, sum(spans), True
         while True:
             t = len(frames)
             if entered and t == mdp.horizon:
@@ -426,9 +433,10 @@ class _Engine:
                 # `pending` is in significance order, so the combinations come
                 # out with ascending first members and the first one past the
                 # cap closes the node: digits decided later only add to `first`.
-                frames.append((here, pending, product(*(range(radices[k]) for k in pending)), first))
+                span -= sum(map(spans.__getitem__, pending))
+                frames.append((here, pending, product(*(range(radices[k]) for k in pending)), first, span))
             while frames:
-                here, pending, combos, base = frames[-1]
+                here, pending, combos, base, span = frames[-1]
                 if len(dists) > len(frames):
                     del dists[-1], rewards[-1], steps[-1]
                 combo = next(combos, None)
@@ -448,7 +456,7 @@ class _Engine:
             dists.append(nxt)
             rewards.append(reward)
             steps.append(step)
-            entered = enter is None or not enter(len(frames), first, digits, nxt, reward)
+            entered = enter is None or not enter(len(frames), first, first + span, nxt, reward)
 
     def advance(self, dist, step) -> tuple[dict, int]:
         """The forward DP's one step: from occupancy `dist` at t, each state

@@ -319,6 +319,8 @@ def parse_policy(text: str, mdp: TabularMDP) -> Policy:
         raise ParseError(f"stationary policy must carry exactly one row, got {len(rows_doc)}", "rows")
     if not stationary and len(rows_doc) != horizon:
         raise ParseError(f"expected {horizon} rows, got {len(rows_doc)}", "rows")
+    if horizon != mdp.horizon:  # before (row,) * horizon is built
+        raise ValidationError([f"policy horizon {horizon} does not match MDP horizon {mdp.horizon}"])
 
     def parse_row(row_doc, where):
         row = {}

@@ -31,7 +31,7 @@ from functools import partial
 from itertools import pairwise
 
 from .evaluate import _kept_steps
-from .mdp import Policy, TabularMDP, _integer, _place_values, policy_at_index, policy_cells, policy_class_size
+from .mdp import Policy, TabularMDP, _integer, policy_at_index, policy_class_size
 from .observation import ObservationModel, _Engine, _require
 
 DEFAULT_CAP = 10**6
@@ -106,12 +106,6 @@ def _enter(mdp: TabularMDP, model: ObservationModel | None, stationary: bool, ca
     return PolicyClass(kind, min(total, cap), total, total > cap), _Engine(mdp, model)
 
 
-def _walk_class(engine: _Engine, stationary: bool, cap: int | None, enter=None):
-    """The engine's walk over the deterministic class: every point mass at every cell."""
-    cells = policy_cells(engine.mdp, stationary)
-    return engine.walk(stationary, [engine.point[s] for _, s in cells], cap, enter)
-
-
 def _refinement_order(starts: tuple[int, ...]) -> tuple[int, ...]:
     """The window starts in the order `check_sufficiency` refines on: the
     last, then the first, then the rest ascending. Every order gives the
@@ -176,7 +170,7 @@ def check_sufficiency(
     last = model.window_starts[-1]
     keyed = (
         (tuple(rewards[t] for t in seen), (b.first, engine.total(rewards), dists[: last + 1], cells[: last + H]))
-        for b, dists, rewards, cells in _walk_class(engine, stationary, cap)
+        for b, dists, rewards, cells in engine.walk(stationary, None, cap)
     )
     survivors = _split(keyed)
     for t0 in order:
@@ -281,7 +275,7 @@ def _summaries(walk, weights, key) -> tuple[dict, _Node, dict | None]:
             if agreeing and node.pairs is not up.pairs:
                 agreeing = _union(up.pairs, node.pairs.items())
 
-    def enter(t, first, digits, dist, r) -> bool:
+    def enter(t, first, last, dist, r) -> bool:
         nonlocal agreeing
         close(t)
         node = stack[-1]
@@ -291,7 +285,7 @@ def _summaries(walk, weights, key) -> tuple[dict, _Node, dict | None]:
             node.take(wt, wf, True)
             agreeing = agreeing and node.pairs.setdefault(pt, pf) == pf
             return True
-        k = key(t, first, digits, dist) if t < T - 1 else None
+        k = key(t, first, last, dist) if t < T - 1 else None
         hit = memo.get(k)
         if hit is not None and (not agreeing or hit[3] is not None):
             node.take(hit[0] + wt, hit[1] + wf, hit[2])
@@ -319,10 +313,10 @@ def _argmax(walk, memo: dict, weights, best, key, cap: int) -> tuple[list[int], 
     T, argmax = len(weights), ([], [])
     path = [(0, 0)] * (T + 1)  # the truncated and full values of the path to each depth
 
-    def enter(t, first, digits, dist, r) -> bool:
+    def enter(t, first, last, dist, r) -> bool:
         vt, vf = path[t] = path[t - 1][0] + r * weights[t - 1][0], path[t - 1][1] + r * weights[t - 1][1]
         if t < T - 1:
-            bt, bf, _, _ = memo[key(t, first, digits, dist)]
+            bt, bf, _, _ = memo[key(t, first, last, dist)]
             return vt + bt != best[0] and vf + bf != best[1]
         return False
 
@@ -344,22 +338,15 @@ def _memoised(engine: _Engine, stationary: bool, keep: int, cap: int) -> tuple:
     subtree below a node depends only on its depth and occupancy."""
     T, step = engine.mdp.horizon, engine.step
     weights = [(step ** (keep - 1 - t) if t < keep else 0, step ** (T - 1 - t)) for t in range(T)]
-    radices = [len(engine.point[s]) for _, s in policy_cells(engine.mdp, stationary)]
-    spans = [(n - 1) * w for n, w in zip(radices, _place_values(radices))]
-    whole = sum(spans) < cap
 
-    def key(t, first, digits, dist) -> tuple:
-        """A node's memo key. A node's members are its first index plus
-        every combination of the digits it leaves undecided, and its summary
-        covers those below the cap: when every member is below it (always,
-        when the whole class is), that is its subtree, which its depth and
-        occupancy fix; otherwise the node is keyed by itself, which its
+    def key(t, first, last, dist) -> tuple:
+        """A node's memo key. Its summary covers its members below the cap:
+        when every member is below it, that is its subtree, which its depth
+        and occupancy fix; otherwise the node is keyed by itself, which its
         depth and first index name."""
-        if whole or first + sum(w for w, d in zip(spans, digits) if d is None) < cap:
-            return t, tuple(sorted(dist.items()))
-        return t, first
+        return (t, tuple(sorted(dist.items()))) if last < cap else (t, first)
 
-    walk = partial(_walk_class, engine, stationary, cap)
+    walk = partial(engine.walk, stationary, None, cap)
     memo, root, pairs = _summaries(walk, weights, key)
     best = (root.bt, root.bf)
     return best, _argmax(walk, memo, weights, best, key, cap), root.both, pairs
@@ -373,7 +360,7 @@ def _scanned(engine: _Engine, keep: int, cap: int) -> tuple:
     # that comparing them compares the returns exactly: the running maximum
     # and the members at it.
     best, argmax, intersects, full_of = [None, None], [[], []], False, {}
-    for behaviour, _, rewards, _ in _walk_class(engine, True, cap):
+    for behaviour, _, rewards, _ in engine.walk(True, None, cap):
         values = [engine.total(rewards[:keep]), engine.total(rewards)]
         for k, value in enumerate(values):
             if best[k] is None or value > best[k]:

@@ -284,6 +284,25 @@ def test_every_bad_input_file_is_named(tmp_path, prefix_files, capsys, command, 
     assert err.startswith(f"error: {bad_path}: ")
 
 
+@pytest.mark.parametrize("excess", [1, 10**30])
+@pytest.mark.parametrize("command", ["eval", "segdist", "sample"])
+def test_a_policy_of_another_horizon_is_exit_two_naming_it(tmp_path, prefix_files, capsys, command, excess):
+    mdp_path, obs_path = prefix_files
+    mdp = load_mdp(mdp_path)
+    doc = json.loads(serialize_policy(half_behavior(mdp), mdp))
+    doc["horizon"] = horizon = mdp.horizon + excess
+    pol_path = tmp_path / "policy.json"
+    pol_path.write_text(json.dumps(doc))
+    argv = {
+        "eval": ["--policy", str(pol_path)],
+        "segdist": ["--policy", str(pol_path), "--obs", obs_path],
+        "sample": ["--behavior", str(pol_path), "--n", "2", "--seed", "0", "-o", str(tmp_path / "data.json")],
+    }[command]
+    code, out, err = run_cli(capsys, command, "--mdp", mdp_path, *argv)
+    message = f"policy horizon {horizon} does not match MDP horizon {mdp.horizon}"
+    assert (code, out, err) == (2, "", f"error: {pol_path}: {message}\n")
+
+
 def test_usage_error_exit_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys)[0] == 2

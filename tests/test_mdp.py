@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 import shortsight as ss
 from shortsight.mdp import Behaviour, _place_values, policy_at_index
 from shortsight.observation import _Engine
-from shortsight.sufficiency import _walk_class
 
 from oracle import all_nonstationary_policies, all_stationary_policies, oracle_members, oracle_occupancy, oracle_validate_policy
 from randmdp import dense_mdp, random_mdp
@@ -214,7 +213,7 @@ def test_behaviours_partition_the_class(stationary):
         policies = oracle_class(mdp, stationary)
         engine = _Engine(mdp)
         seen, firsts = [], []
-        for behaviour, dists, _, _ in _walk_class(engine, stationary, None):
+        for behaviour, dists, _, _ in engine.walk(stationary):
             firsts.append(behaviour.first)
             members = list(behaviour.members(total))
             assert members[0] == behaviour.first
@@ -264,10 +263,10 @@ def test_capped_behaviours_are_those_first_below_the_cap(stationary):
         total = ss.policy_class_size(mdp, stationary)
         if total > 512:
             continue
-        every = list(_walk_class(_Engine(mdp), stationary, None))
+        every = list(_Engine(mdp).walk(stationary))
         for cap in {1, max(1, total // 3), total - 1 or 1, total, total + 5}:
             below = [leaf for leaf in every if leaf[0].first < cap]
-            assert list(_walk_class(_Engine(mdp), stationary, cap)) == below
+            assert list(_Engine(mdp).walk(stationary, None, cap)) == below
 
 
 @settings(max_examples=200)
@@ -277,7 +276,8 @@ def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
     # whose first member is at or past the cap. A node it refuses drops
     # exactly the leaves below it; refusing every leaf yields nothing, yet
     # takes every forward DP step of the plain walk. A node is named by its
-    # depth and the digits decided down to it.
+    # depth and first member, which no other node at its depth shares, as
+    # the member sets of the nodes at one depth are disjoint.
     rng = random.Random(seed)
     mdp = random_mdp(rng, max_states=4, max_horizon=3)
     total = ss.policy_class_size(mdp, stationary)
@@ -288,7 +288,7 @@ def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
         engine, steps = _Engine(mdp), []
         inner = engine.advance
         engine.advance = lambda *args: steps.append(1) or inner(*args)
-        return list(_walk_class(engine, stationary, cap, enter)), len(steps)
+        return list(engine.walk(stationary, None, cap, enter)), len(steps)
 
     def refused(node):
         return random.Random(repr((seed, node))).random() < 0.25
@@ -296,10 +296,10 @@ def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
     plain, plain_steps = walk()
     paths, path, entered = [], [], []
 
-    def record(t, first, digits, dist, r):
+    def record(t, first, last, dist, r):
         assert cap is None or first < cap
         entered.append(t)
-        path[t - 1 :] = [(t, tuple(digits))]
+        path[t - 1 :] = [(t, first)]
         if t == mdp.horizon:
             paths.append(tuple(path))
         return False
@@ -307,13 +307,49 @@ def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
     assert walk(record) == (plain, plain_steps)
     assert len(entered) == plain_steps and len(paths) == len(plain)
 
-    def skip(t, first, digits, dist, r):
+    def skip(t, first, last, dist, r):
         assert cap is None or first < cap
-        return refused((t, tuple(digits)))
+        return refused((t, first))
 
     kept = [leaf for leaf, nodes in zip(plain, paths) if not any(map(refused, nodes))]
     assert walk(skip)[0] == kept
     assert walk(lambda t, *_: t == mdp.horizon) == ([], plain_steps)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), stationary=st.booleans())
+def test_enter_gets_the_largest_member_of_each_node(seed, stationary):
+    # On the uncapped walk a node's `last` is the largest member of the
+    # leaves below it, free cells included. A capped walk enters exactly the
+    # nodes whose first member is below the cap, each with the same `last`,
+    # which counts the members past the cap too.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=4, max_horizon=3)
+    total = ss.policy_class_size(mdp, stationary)
+    assume(total <= 512)
+
+    def walk(cap):
+        nodes, paths, path = {}, [], []
+
+        def record(t, first, last, dist, r):
+            assert (t, first) not in nodes
+            nodes[t, first] = last
+            path[t - 1 :] = [(t, first)]
+            if t == mdp.horizon:
+                paths.append(tuple(path))
+            return False
+
+        return nodes, list(zip(_Engine(mdp).walk(stationary, None, cap, record), paths))
+
+    nodes, leaves = walk(None)
+    largest = {}
+    for (behaviour, *_), path in leaves:
+        top = behaviour.members(float("inf"))[-1]
+        for node in path:
+            largest[node] = max(largest.get(node, top), top)
+    assert nodes == largest
+    for cap in (1, max(1, total // 3)):
+        assert walk(cap)[0] == {node: last for node, last in nodes.items() if node[1] < cap}
 
 
 def test_cap_bounds_the_walk_of_a_huge_class(monkeypatch):
@@ -331,7 +367,7 @@ def test_cap_bounds_the_walk_of_a_huge_class(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(_Engine, "advance", counted)
-    firsts = [leaf[0].first for leaf in _walk_class(_Engine(mdp), False, 1000)]
+    firsts = [leaf[0].first for leaf in _Engine(mdp).walk(False, None, 1000)]
     assert firsts == list(range(1000))
     assert len(steps) == 1012
 

@@ -279,6 +279,18 @@ def test_policy_document_errors(prefix3):
         parse_policy(json.dumps(bad), mdp)
 
 
+@pytest.mark.parametrize("excess", [1, 10**30])
+def test_a_policy_horizon_is_checked_before_its_rows_are_built(prefix3, excess):
+    # A stationary policy's one row is repeated `horizon` times, so the
+    # horizon is checked against the MDP's first: 10**30 repeats do not fit.
+    mdp, _ = prefix3
+    doc = json.loads(serialize_policy(ss.commit_policies(mdp)[0], mdp))
+    doc["horizon"] = horizon = mdp.horizon + excess
+    with pytest.raises(ValidationError) as exc:
+        parse_policy(json.dumps(doc), mdp)
+    assert str(exc.value) == f"policy horizon {horizon} does not match MDP horizon {mdp.horizon}"
+
+
 def test_dataset_count_mismatch_rejected(prefix3):
     mdp, _ = prefix3
     ds = ss.sample_dataset(mdp, ss.commit_policies(mdp)[0], 2, 1)

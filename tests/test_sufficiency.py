@@ -357,14 +357,14 @@ def _count_evaluations(monkeypatch):
     """Count the leaves that the checkers' walks of the class yield, one per
     behaviour a walk lets through."""
     calls = Counter()
-    inner = sufficiency._walk_class
+    inner = observation._Engine.walk
 
     def wrapper(*args, **kwargs):
         for leaf in inner(*args, **kwargs):
             calls["leaf"] += 1
             yield leaf
 
-    monkeypatch.setattr(sufficiency, "_walk_class", wrapper)
+    monkeypatch.setattr(observation._Engine, "walk", wrapper)
     return calls
 
 
@@ -389,6 +389,27 @@ def test_checkers_evaluate_behaviours_not_policies(monkeypatch):
     report = ss.check_objective_consistency(mdp, 6)
     assert report.policy_class.enumerated == 8192
     assert calls == {"memo": 14, "step": 72, "leaf": 2}
+
+
+def test_the_checkers_list_the_class_cells_once_per_walk(monkeypatch):
+    # Each `policy_cells` build reads `TabularMDP.nonterminal` once. The
+    # ordering check lists the cells for the class size in `_enter`, then in
+    # each of its two walks; the sufficiency check in `_enter`, its one
+    # walk, and `policy_at_index` for each policy of the witness.
+    calls = Counter()
+    inner = ss.TabularMDP.nonterminal
+
+    def counted(mdp):
+        calls["nonterminal"] += 1
+        return inner(mdp)
+
+    monkeypatch.setattr(ss.TabularMDP, "nonterminal", counted)
+    mdp, _ = ss.build_greedy(6, 10)
+    ss.check_objective_consistency(mdp, 6)
+    assert calls == {"nonterminal": 3}
+    calls.clear()
+    assert not ss.check_sufficiency(*ss.build_prefix(3)).sufficient
+    assert calls == {"nonterminal": 4}
 
 
 def test_a_stationary_class_on_an_mdp_that_is_not_layered_is_walked(monkeypatch):
