@@ -11,12 +11,13 @@ else in the package.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InvalidParam, ParseError
+from .errors import InvalidParam, InvalidTrajectory, ParseError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -127,6 +128,11 @@ class Trajectory:
     actions: tuple[str, ...]
     rewards: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        if not len(self.states) == len(self.actions) + 1 == len(self.rewards) + 1:
+            shape = f"{len(self.states)} states, {len(self.actions)} actions, {len(self.rewards)} rewards"
+            raise InvalidTrajectory(f"trajectory shape ({shape}) is not T+1 states, T actions and T rewards")
+
 
 def build_mdp(
     states: Sequence[str],
@@ -215,6 +221,8 @@ def _mdp_problems(mdp: TabularMDP) -> list[str]:
     n = mdp.n_states
     if mdp.horizon < 1:
         problems.append(f"horizon must be a positive integer, got {mdp.horizon}")
+    elif mdp.horizon > sys.maxsize:  # a policy holds one row per step in a tuple
+        problems.append(f"horizon {mdp.horizon} is above {sys.maxsize}, the most steps a tuple can hold")
     if len(set(mdp.states)) != n:
         dup = sorted({s for s in mdp.states if mdp.states.count(s) > 1})
         problems.append(f"duplicate state labels: {', '.join(dup)}")

@@ -59,7 +59,8 @@ class ObservationModel:
     sorted and unique, and `phi`, given as a mapping or as pairs, is held as
     (state label, feature) string pairs sorted by label, one per label (the
     last, as `dict` reads pairs). So two models are equal iff they describe
-    the same interface.
+    the same interface. Every builder checks the rules that need no MDP: a
+    window length of at least 1 and at least one start, none negative.
     """
 
     window_length: int
@@ -71,13 +72,15 @@ class ObservationModel:
     def __post_init__(self):
         pairs = self.phi.items() if isinstance(self.phi, Mapping) else self.phi
         for name, value in (
-            ("window_length", _integer(self.window_length, "window_length")),
-            ("window_starts", tuple(sorted({_integer(t, "window_starts") for t in self.window_starts}))),
+            ("window_length", _integer(self.window_length, "window_length", 1)),
+            ("window_starts", tuple(sorted({_integer(t, "window_starts", 0) for t in self.window_starts}))),
             ("phi", tuple(sorted({str(s): str(f) for s, f in pairs}.items()))),
             ("observe_actions", _boolean(self.observe_actions, "observe_actions")),
             ("observe_rewards", _boolean(self.observe_rewards, "observe_rewards")),
         ):
             object.__setattr__(self, name, value)
+        if not self.window_starts:
+            raise InvalidParam("window_starts is empty")
 
     make = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))  # the constructor, by its older name
 
@@ -102,18 +105,13 @@ def coarsen(model: ObservationModel, merge: Mapping[str, str]) -> ObservationMod
 
 
 def validate_model(mdp: TabularMDP, model: ObservationModel) -> list[str]:
-    problems = []
-    try:
-        _integer(model.window_length, "window_length", 1)
-    except InvalidParam as exc:
-        problems.append(str(exc))
-    if not model.window_starts:
-        problems.append("window_starts is empty")
-    for t in model.window_starts:
-        if t < 0 or t + model.window_length > mdp.horizon:
-            problems.append(
-                f"window start {t} out of range for length {model.window_length} and horizon {mdp.horizon}"
-            )
+    """The rules a model must meet on `mdp`: every window ends by the
+    horizon, and `phi` is total over the MDP's states and maps no other."""
+    problems = [
+        f"window start {t} out of range for length {model.window_length} and horizon {mdp.horizon}"
+        for t in model.window_starts
+        if t + model.window_length > mdp.horizon
+    ]
     mapped = {s for s, _ in model.phi}
     missing = [s for s in mdp.states if s not in mapped]
     if missing:
@@ -289,11 +287,8 @@ def _crop(trajectory: Trajectory, model: ObservationModel, phi, t0: int) -> Obse
 
 def _check_trajectory(mdp: TabularMDP, trajectory: Trajectory) -> None:
     T = mdp.horizon
-    if len(trajectory.states) != T + 1 or len(trajectory.actions) != T or len(trajectory.rewards) != T:
-        raise InvalidTrajectory(
-            f"trajectory shape ({len(trajectory.states)} states, {len(trajectory.actions)} actions, "
-            f"{len(trajectory.rewards)} rewards) does not fit horizon {T}"
-        )
+    if len(trajectory.actions) != T:
+        raise InvalidTrajectory(f"trajectory of {len(trajectory.actions)} steps does not fit horizon {T}")
     idx = {s: i for i, s in enumerate(mdp.states)}
     for t in range(T):
         s_label, a_label, nxt_label = trajectory.states[t], trajectory.actions[t], trajectory.states[t + 1]

@@ -35,6 +35,9 @@ class OfflineDataset:
     behavior_id: str
     seed: int
 
+    def __post_init__(self):
+        _integer(self.n, "dataset.n", 1)  # no trajectories give no frequencies
+
     @property
     def n(self) -> int:
         return len(self.trajectories)
@@ -86,14 +89,14 @@ def sample_dataset(
     """Draw n independent trajectories under the behavior policy."""
     n = _integer(n, "n", 1)
     seed = _integer(seed, "seed")
-    _evaluate(mdp, behavior)  # the single-policy entry check; its leaf is not needed
-    trajectories = _draw(mdp, behavior, n, seed, random.Random())
+    occupancy = _evaluate(mdp, behavior)[1]  # the single-policy entry check
+    trajectories = _draw(mdp, behavior, occupancy[:-1], n, seed, random.Random())
     return OfflineDataset(trajectories, behavior.describe(mdp), seed)
 
 
-def _draw(mdp: TabularMDP, behavior: Policy, n: int, seed: int, rng) -> tuple[Trajectory, ...]:
+def _draw(mdp: TabularMDP, behavior: Policy, occupancy, n: int, seed: int, rng) -> tuple[Trajectory, ...]:
     """Trajectories 0..n-1, trajectory i drawn from `rng` reseeded with
-    f"{seed}:{i}".
+    f"{seed}:{i}". At step t a draw is in a state keyed in `occupancy[t]`.
 
     A path is held as one integer: its initial state, then one digit in base
     `width` per step, the slot of the (action, outcome) pair taken. Slot j of
@@ -134,19 +137,15 @@ def _draw(mdp: TabularMDP, behavior: Policy, n: int, seed: int, rng) -> tuple[Tr
         return Trajectory(tuple(states), tuple(actions), tuple(rewards))
 
     initial, initial_cuts = _cdf((s, p) for s, p in enumerate(mdp.initial) if p > 0)
-    # Cells (t, s) get their table the first time a draw reaches them.
-    steps = [[None] * mdp.n_states for _ in range(horizon)]
+    steps = [{s: step(t, s) for s in dist} for t, dist in enumerate(occupancy)]
     paths: dict[int, Trajectory] = {}
     trajectories = []
     reseed, uniform = rng.seed, rng.random
     for i in range(n):
         reseed(f"{seed}:{i}")
         s = key = initial[bisect_right(initial_cuts, uniform())]
-        for t in range(horizon):
-            table = steps[t][s]
-            if table is None:
-                table = steps[t][s] = step(t, s)
-            action_cuts, moves_here = table
+        for tables in steps:
+            action_cuts, moves_here = tables[s]
             cuts, ids, nexts = moves_here[bisect_right(action_cuts, uniform())]
             k = bisect_right(cuts, uniform())
             key = key * width + ids[k]
@@ -176,7 +175,6 @@ def empirical_segments(dataset: OfflineDataset, model: ObservationModel) -> Empi
     checked and cropped once, in first-seen order, and tallied with its
     count; equal paths in distinct objects meet again in the tally.
     """
-    _integer(dataset.n, "dataset.n", 1)  # no trajectories give no frequencies
     phi = model.phi_map
     tallies: dict[int, dict[ObservedSegment, int]] = {t: {} for t in model.window_starts}
     for traj, count in _distinct(dataset.trajectories).values():

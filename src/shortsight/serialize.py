@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import InvalidParam, ParseError, ValidationError
+from .errors import InvalidParam, InvalidTrajectory, ParseError, ValidationError
 from .mdp import Policy, TabularMDP, Trajectory, _boolean, _cell, _integer, _policy, build_mdp, format_rational, parse_rational, validate_mdp
 from .observation import ObservationModel, validate_policy
 from .offline import OfflineDataset, _distinct
@@ -278,13 +278,12 @@ def parse_model(text: str) -> ObservationModel:
         _as_str(s, "phi"): _as_str(f, f"phi[{s}]")
         for s, f in _as_dict(top["phi"], "phi").items()
     }
-    return ObservationModel.make(
-        _as_int(top["window_length"], "window_length"),
-        starts,
-        phi,
-        _as_bool(top["observe_actions"], "observe_actions"),
-        _as_bool(top["observe_rewards"], "observe_rewards"),
-    )
+    length = _as_int(top["window_length"], "window_length")
+    flags = _as_bool(top["observe_actions"], "observe_actions"), _as_bool(top["observe_rewards"], "observe_rewards")
+    try:  # the model's own rules, such as a window length of at least 1
+        return ObservationModel(length, starts, phi, *flags)
+    except InvalidParam as exc:
+        raise ValidationError([str(exc)]) from None
 
 
 # ------------------------------------------------------------- Policy
@@ -420,9 +419,10 @@ def parse_dataset(text: str) -> OfflineDataset:
             if value is None:
                 value = rationals[r] = parse_rational(r, f"{where}.rewards[{j}]")
             rewards.append(value)
-        if len(states) != len(acts) + 1 or len(rewards) != len(acts):
-            raise ParseError("states/actions/rewards lengths are inconsistent", where)
-        traj = Trajectory(states, acts, tuple(rewards))
+        try:
+            traj = Trajectory(states, acts, tuple(rewards))
+        except InvalidTrajectory:
+            raise ParseError("states/actions/rewards lengths are inconsistent", where) from None
         if key is not None:
             parsed[key] = traj
         trajectories.append(traj)

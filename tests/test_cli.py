@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import stat
+import sys
 
 import pytest
 
@@ -301,6 +302,45 @@ def test_a_policy_of_another_horizon_is_exit_two_naming_it(tmp_path, prefix_file
     code, out, err = run_cli(capsys, command, "--mdp", mdp_path, *argv)
     message = f"policy horizon {horizon} does not match MDP horizon {mdp.horizon}"
     assert (code, out, err) == (2, "", f"error: {pol_path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("window_length", 0, "window_length must be >= 1, got 0"),
+        ("window_starts", [-1], "window_starts must be >= 0, got -1"),
+        ("window_starts", [], "window_starts is empty"),
+    ],
+)
+def test_a_model_that_breaks_a_model_rule_is_exit_two_naming_it(tmp_path, prefix_files, capsys, field, value, message):
+    mdp_path, obs_path = prefix_files
+    with open(obs_path) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    bad = tmp_path / "bad.obs.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check", "--mdp", mdp_path, "--obs", str(bad))
+    assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+
+def test_a_horizon_no_tuple_can_hold_is_exit_two_naming_the_mdp(tmp_path, prefix_files, capsys):
+    # Once: `eval` died in a raw OverflowError with exit 1. (`check` and
+    # `ordering` did not finish on such an MDP, so no test runs them on one
+    # that might pass.)
+    mdp_path, _ = prefix_files
+    mdp = load_mdp(mdp_path)
+    policy = json.loads(serialize_policy(half_behavior(mdp), mdp))
+    policy["horizon"] = 10**30
+    pol_path = tmp_path / "policy.json"
+    pol_path.write_text(json.dumps(policy))
+    with open(mdp_path) as fh:
+        doc = json.load(fh)
+    doc["horizon"] = 10**30
+    big = tmp_path / "big.mdp.json"
+    big.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", "--mdp", str(big), "--policy", str(pol_path))
+    message = f"horizon {10**30} is above {sys.maxsize}, the most steps a tuple can hold"
+    assert (code, out, err) == (2, "", f"error: {big}: {message}\n")
 
 
 def test_usage_error_exit_two(capsys):

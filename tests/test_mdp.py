@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import sys
 import weakref
 from bisect import bisect_left
 from fractions import Fraction
@@ -586,6 +587,19 @@ def test_build_mdp_rejects_unknown_labels():
         ss.build_mdp(["a"], {"a": ["x"]}, {("a", "y"): [("a", 1, 0)]}, 1, {"a": 1})
     with pytest.raises(ValueError, match="'zz'"):
         ss.build_mdp(["a"], {"a": ["x"]}, {("a", "x"): [("zz", 1, 0)]}, 1, {"a": 1})
+
+
+def test_a_horizon_no_tuple_can_hold_is_refused():
+    # Once: such an MDP passed `validate_mdp`, and building a policy for it
+    # raised a raw OverflowError.
+    mdp = ss.build_mdp(["a", "b"], {"a": ["x"]}, {("a", "x"): [("b", 1, 0)]}, 10**30, {"a": 1}, ["b"])
+    message = f"horizon {10**30} is above {sys.maxsize}, the most steps a tuple can hold"
+    assert ss.validate_mdp(mdp) == [message]  # first: the calls below would not finish on an MDP that passed
+    model = ss.ObservationModel.make(1, (0,), ss.identity_phi(mdp))
+    with pytest.raises(ss.InvalidParam, match=re.escape(message)):
+        ss.check_sufficiency(mdp, model)
+    with pytest.raises(ss.InvalidParam, match=re.escape(message)):
+        ss.check_objective_consistency(mdp, 0)
 
 
 @pytest.mark.parametrize("horizon", [2.5, "2", True])

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -369,6 +370,28 @@ def test_a_model_is_canonical_whatever_builds_it():
     assert dataclasses.replace(canonical, window_starts=(1, 1, 0)) == canonical
     assert dataclasses.replace(canonical, phi=model.phi_map) == canonical
     assert canonical.window_starts == (0, 1) and canonical.phi == model.phi
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("window_starts", (-1,), "window_starts must be >= 0, got -1"),
+        ("window_starts", (-3,), "window_starts must be >= 0, got -3"),
+        ("window_starts", (), "window_starts is empty"),
+        ("window_length", 0, "window_length must be >= 1, got 0"),
+        ("window_length", -1, "window_length must be >= 1, got -1"),
+    ],
+)
+def test_a_model_refuses_a_bad_window_where_it_is_built(field, value, message):
+    # Once: only `validate_model`, which needs an MDP, checked these, so
+    # `empirical_segments` tallied such a model; a start of -3 cropped the
+    # end of every trajectory.
+    _, model = ss.build_prefix(2)
+    with pytest.raises(ss.InvalidParam, match=re.escape(message)):
+        dataclasses.replace(model, **{field: value})
+    args = {"window_length": model.window_length, "window_starts": model.window_starts, "phi": model.phi, field: value}
+    with pytest.raises(ss.InvalidParam, match=re.escape(message)):
+        ss.ObservationModel.make(**args)
 
 
 def test_observe_refuses_an_mdp_with_a_missing_actions_table(prefix3):

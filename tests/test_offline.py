@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import shortsight as ss
 from shortsight import offline
-from shortsight.errors import InvalidParam, ModelMismatch, PolicyMismatch
+from shortsight.errors import InvalidParam, InvalidTrajectory, ModelMismatch, PolicyMismatch
 from shortsight.serialize import parse_dataset, serialize_dataset
 
 from conftest import half_behavior
@@ -340,7 +340,10 @@ def _picks(pairs, x):
     )
     cell = tuple(enumerate(probs))
     behavior = ss.Policy("stochastic", 1, ({s: cell for s in range(len(labels))},), True)
-    (traj,) = offline._draw(mdp, behavior, 1, 0, _Draws(x, x, x))
+    # Every state starts with positive probability, so each is reachable at
+    # the one step (the MDP need not be valid: `pairs` may sum below 1).
+    reachable = [dict.fromkeys(range(len(labels)))]
+    (traj,) = offline._draw(mdp, behavior, reachable, 1, 0, _Draws(x, x, x))
     return traj.states[0], traj.actions[0], traj.states[1]
 
 
@@ -462,6 +465,37 @@ def test_an_empty_dataset_has_no_segment_frequencies(prefix3):
     _, model = prefix3
     with pytest.raises(InvalidParam, match=re.escape("dataset.n must be >= 1, got 0")):
         ss.empirical_segments(ss.OfflineDataset((), "b", 0), model)
+
+
+def test_an_empty_dataset_cannot_be_built():
+    with pytest.raises(InvalidParam, match=re.escape("dataset.n must be >= 1, got 0")):
+        ss.OfflineDataset((), "b", 0)
+
+
+@pytest.mark.parametrize("n_states, n_actions, n_rewards", [(5, 2, 1), (5, 4, 3)])
+def test_a_trajectory_refuses_a_bad_shape_where_it_is_built(n_states, n_actions, n_rewards):
+    # Once: a Trajectory checked nothing, and `empirical_segments` turned 5
+    # states, 2 actions and 1 reward into a segment with 1 action and no
+    # rewards. The second shape fits its actions to its states but not its
+    # rewards.
+    shape = f"({n_states} states, {n_actions} actions, {n_rewards} rewards)"
+    with pytest.raises(InvalidTrajectory, match=re.escape(shape)):
+        ss.Trajectory(("s",) * n_states, ("a",) * n_actions, (Fraction(0),) * n_rewards)
+    ss.Trajectory(("s",) * n_states, ("a",) * (n_states - 1), (Fraction(0),) * (n_states - 1))  # the shape that fits
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_dataset_cropper_agrees_with_observe(seed):
+    # `empirical_segments` crops without an MDP and `observe` with one: on a
+    # sampled trajectory, which both take, they give the same segments.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_states=5)
+    model = random_model(rng, mdp)
+    ds = ss.sample_dataset(mdp, half_behavior(mdp), rng.randint(1, 20), seed)
+    for traj in ds.trajectories:
+        stats = ss.empirical_segments(ss.OfflineDataset((traj,), ds.behavior_id, ds.seed), model)
+        assert stats.per_start == tuple((seg.start, ((seg, 1),)) for seg in ss.observe(mdp, traj, model))
 
 
 def test_duplicate_and_unordered_starts_are_tallied_once_per_start():

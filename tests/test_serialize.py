@@ -396,6 +396,25 @@ def test_parse_errors_are_located(kind, edit, position, message):
     assert str(exc.value) == f"{position}: {message}"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("window_length", 0, "window_length must be >= 1, got 0"),
+        ("window_starts", [0, -1], "window_starts must be >= 0, got -1"),
+        ("window_starts", [], "window_starts is empty"),
+    ],
+)
+def test_a_model_document_that_breaks_a_model_rule_is_refused(field, value, message):
+    # The model's own rules are checked where it is built; the parser
+    # reports them as a document error, which the CLI names the file for.
+    _, model = ss.build_prefix(2)
+    doc = json.loads(serialize_model(model))
+    doc[field] = value
+    with pytest.raises(ValidationError) as exc:
+        parse_model(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("text", ["[" * 100000, "9" * 5000], ids=["deep", "long-int"])
 @pytest.mark.parametrize("kind", ["mdp", "model", "policy", "dataset"])
 def test_json_the_decoder_refuses_is_a_parse_error(kind, text):
