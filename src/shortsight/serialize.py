@@ -9,8 +9,10 @@ validators the rest of the package uses.
 
 Every document and CLI report is written by `canonical_json`. Its canonical
 form is the bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a
-newline; the writer produces them itself (strings through the C
-`encode_basestring_ascii`), and a property test proves it equal to
+newline; the writer `_write` produces them itself (strings through the C
+`encode_basestring_ascii`). A list's flat rows are filled into one template
+per shape, which `_write` renders once with sentinel strings; everything else
+takes the generic path. A property test proves the output equal to
 `json.dumps` on report-shaped documents.
 """
 
@@ -61,22 +63,60 @@ def _write(obj, nl: str, out: list[str]) -> None:
 
 def _items(items: list, nl: str):
     """The texts of a list's items. An object the list holds again is
-    rendered once for this list."""
+    rendered once for this list, and the list's flat rows share one
+    template per shape (`_render`)."""
     if all(isinstance(item, str) for item in items):
         return map(_quote, items)
     texts: dict[int, str] = {}
+    templates: dict[tuple, str | None] = {}
     parts = []
     for item in items:
         if isinstance(item, (dict, list)):
             text = texts.get(id(item))
             if text is None:
-                sub: list[str] = []
-                _write(item, nl, sub)
-                text = texts[id(item)] = "".join(sub)
+                text = texts[id(item)] = _render(item, nl, templates)
         else:
             text = _scalar(item)
         parts.append(text)
     return parts
+
+
+_SLOT = "\x00"
+_QUOTED_SLOT = _quote(_SLOT)
+
+
+def _render(item, nl: str, templates: dict) -> str:
+    """The text of a list item. A flat row (a dict of scalars and lists of
+    strings) fills its shape's template: `_write`'s text of the shape with
+    `_SLOT` in each value slot, `%` escaped and each quoted `_SLOT` a %s. A
+    shape with more slots than values (a key quoting to a quoted `_SLOT`),
+    any other item and any TypeError on the way are left to `_write`."""
+    if isinstance(item, dict):
+        try:
+            keys = sorted(item)
+            lengths, values = [], []
+            for key in keys:
+                value = item[key]
+                if type(value) is list:
+                    lengths.append(len(value))
+                    values += map(_quote, value)  # _quote refuses a non-str item
+                else:
+                    lengths.append(-1)
+                    values.append(_scalar(value))  # _scalar refuses a dict
+            shape = (*keys, *lengths)
+            if shape not in templates:
+                sub: list[str] = []
+                _write({k: _SLOT if n < 0 else [_SLOT] * n for k, n in zip(keys, lengths)}, nl, sub)
+                text = "".join(sub).replace("%", "%%")
+                templates[shape] = text.replace(_QUOTED_SLOT, "%s") if text.count(_QUOTED_SLOT) == len(values) else None
+        except TypeError:
+            pass
+        else:
+            if templates[shape] is not None:
+                return templates[shape] % tuple(values)
+    sub = []
+    _write(item, nl, sub)
+    return "".join(sub)
 
 
 def _scalar(obj) -> str:

@@ -1,10 +1,18 @@
+import dataclasses
+import io
 import json
+import os
+import random
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import shortsight as ss
+from shortsight import serialize
+from shortsight.cli import main
 from shortsight.errors import ParseError, ValidationError
 from shortsight.mdp import Trajectory
 from shortsight.offline import OfflineDataset
@@ -23,6 +31,7 @@ from shortsight.serialize import (
 )
 
 from conftest import half_behavior
+from randmdp import random_mdp, random_model
 
 
 def test_rational_formatting_round_trip():
@@ -80,6 +89,138 @@ def test_canonical_json_of_any_value_is_json_dumps(value):
 def test_canonical_json_refuses_what_a_report_cannot_hold(doc):
     with pytest.raises(TypeError):
         canonical_json(doc)
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Texts a row template must not confuse with its own making: `%` and `%s`
+# (the template is a %-format), the sentinel `_write` renders a shape with,
+# alone and beside a quote, the empty string and a quote.
+_TRICKY = st.sampled_from(["%", "%s", "%%s", "\x00", '"\x00', '\x00"', "", '"', '""', "a"])
+_ROW_TEXT = _TRICKY | _TEXT
+_SCALARS = _ROW_TEXT | _INTS | st.booleans() | st.none()
+
+
+@st.composite
+def _rows(draw, keys):
+    """Flat rows over `keys`, in one or two layouts: each key is a scalar or
+    a list of strings of a drawn length, so two layouts can hold as many
+    values in different places."""
+    layouts = draw(st.lists(st.lists(st.integers(-1, 3), min_size=len(keys), max_size=len(keys)), min_size=1, max_size=2))
+    rows = []
+    for pick in draw(st.lists(st.integers(0, len(layouts) - 1), max_size=6)):
+        rows.append({
+            key: draw(_SCALARS) if n < 0 else draw(st.lists(_ROW_TEXT, min_size=n, max_size=n))
+            for key, n in zip(keys, layouts[pick])
+        })
+    return rows
+
+
+@st.composite
+def _row_docs(draw):
+    """Lists of flat rows, the same list at two indents, and rows that must
+    take the generic path (a nested dict, a non-string in a list) among
+    them."""
+    keys = draw(st.lists(_ROW_TEXT, max_size=4, unique=True))
+    rows = draw(_rows(keys))
+    odd = draw(st.dictionaries(_ROW_TEXT, _VALUES, max_size=3))
+    mixed = rows + [odd, {"nested": {"k": "v"}}, {"items": ["a", 1]}] + rows[::-1]
+    return {"rows": rows, "deeper": {"rows": mixed, "again": [rows, [], {}]}}
+
+
+@given(_row_docs())
+@example({"rows": [{"%": "%s", "%s": ["%", "%%s"]}, {"%": "%s", "%s": ["%", "%%s"]}]})
+@example({"rows": [{"\x00": "a", "b": "\x00"}, {"\x00": "c", "b": "d"}, {'"\x00': ["\x00"]}, {'"\x00': ["e"]}]})
+@example({"rows": [{"a": ["x", "y"], "b": "z"}, {"a": ["x"], "b": ["y", "z"]}, {"a": [], "b": ["x", "y", "z"]}]})
+@example({"rows": [{"a": [], "b": True, "c": None, "d": 0}, {"a": [], "b": False, "c": None, "d": -(10**40)}]})
+def test_canonical_json_of_flat_rows_is_json_dumps(doc):
+    assert canonical_json(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("nested", ["rows", {"k": "v"}, ["a", ["b"]], ["a", 1], ["a", None]])
+def test_a_row_that_is_not_flat_takes_the_generic_path(nested):
+    rows = [{"a": "x", "b": ["y"]}, {"a": "x", "b": nested}, {"a": "x", "b": ["z"]}]
+    assert canonical_json({"rows": rows}) == _dumps({"rows": rows})
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_segdist_reports_are_json_dumps_byte_for_byte(seed, actions, rewards):
+    rng = random.Random(seed)
+    mdp = random_mdp(rng)
+    model = dataclasses.replace(random_model(rng, mdp), observe_actions=actions, observe_rewards=rewards)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("mdp.json", "policy.json", "obs.json")]
+        texts = (serialize_mdp(mdp), serialize_policy(half_behavior(mdp), mdp), serialize_model(model))
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["segdist", "--mdp", paths[0], "--policy", paths[1], "--obs", paths[2]]) == 0
+    report = json.loads(out.getvalue())
+    assert out.getvalue() == _dumps(report)
+    rows = [row for per_start in report["distribution"].values() for row in per_start]
+    assert {"actions" in row for row in rows} == {actions} and {"rewards" in row for row in rows} == {rewards}
+
+
+@pytest.mark.parametrize(
+    "row, json_refuses",
+    [({"prob": Fraction(1, 2)}, True), ({"prob": "1/2", 1: ["a"]}, True), ({"prob": 0.5}, False), ({"features": ["a", 1.5]}, False)],
+    ids=["fraction", "int-key", "float", "float-in-list"],
+)
+def test_a_row_canonical_json_cannot_hold_is_refused(row, json_refuses):
+    # First among rows, and after rows whose shape already has a template.
+    # json.dumps writes a float; a report never holds one, so the canonical
+    # writer refuses it as it refuses a Fraction.
+    good = {"prob": "1/2", "features": ["a"]}
+    for doc in ([row, good], [good, good, row], {"rows": [good, dict(good, prob="1/3"), row]}):
+        with pytest.raises(TypeError):
+            canonical_json(doc)
+        if json_refuses:
+            with pytest.raises(TypeError):
+                json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _count_calls(monkeypatch, name) -> list[int]:
+    calls = [0]
+    inner = getattr(serialize, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(serialize, name, counted)
+    return calls
+
+
+def test_rows_of_one_shape_cost_the_writer_the_same_calls_however_many(monkeypatch):
+    def doc(n):
+        rows = [
+            {"features": ["f0", f"f{i % 3}"], "prob": f"1/{i + 2}", "actions": ["a"], "rewards": ["0", "-1/2"], "n": i, "shown": None}
+            for i in range(n)
+        ]
+        return {"distribution": {"0": rows, "1": rows[::-1]}}
+
+    writes = _count_calls(monkeypatch, "_write")
+    counts = []
+    for n in (10, 1000):
+        writes[0] = 0
+        assert canonical_json(doc(n)) == _dumps(doc(n))
+        counts.append(writes[0])
+    assert counts[0] == counts[1]
+
+
+def test_a_dataset_renders_each_distinct_record_once(monkeypatch):
+    distinct = [Trajectory(("a", "b", "a"), ("x", "y"), (Fraction(1, 2), Fraction(k))) for k in range(4)]
+    quotes, writes = _count_calls(monkeypatch, "_quote"), _count_calls(monkeypatch, "_write")
+    counts = []
+    for trajectories in (distinct, [distinct[i % 4] for i in range(20000)]):
+        quotes[0] = writes[0] = 0
+        serialize_dataset(OfflineDataset(tuple(trajectories), "b", 0))
+        counts.append((quotes[0], writes[0]))
+    assert counts[0] == counts[1]
 
 
 def test_dataset_bytes_do_not_depend_on_shared_records():
