@@ -30,7 +30,7 @@ from .counterexamples import FAMILIES, CounterexampleSpec, build_counterexample,
 from .errors import DocumentError, InvalidParam, ParseError, ShortsightError
 from .evaluate import full_return, truncated_return
 from .mdp import format_rational, parse_rational, policy_at_index
-from .observation import segment_distribution
+from .observation import _evaluate, _ranked
 from .offline import sample_dataset
 from .serialize import (
     canonical_json,
@@ -164,23 +164,31 @@ def _cmd_segdist(args) -> int:
     mdp, mdp_input = _load(args.mdp, parse_mdp)
     policy, policy_input = _load(args.policy, parse_policy, mdp)
     model, model_input = _load(args.obs, parse_model)
-    dist = segment_distribution(mdp, policy, model)
-    per_start = {}
-    for start, items in dist.per_start:
-        rows = []
-        for seg, p in items:
-            row = {"features": list(seg.features), "prob": format_rational(p)}
-            if seg.actions is not None:
-                row["actions"] = list(seg.actions)
-            if seg.rewards is not None:
-                row["rewards"] = [format_rational(r) for r in seg.rewards]
-            rows.append(row)
+    # `segment_distribution`'s rows, read off the engine's ranked tables:
+    # each segment's label lists are built once and shared by its rows at
+    # every start, and each distinct mass of a start is formatted once.
+    leaf = _evaluate(mdp, policy, model)
+    labels, starts = _ranked(leaf, [format_rational(r) for r in leaf[0].rewards])
+    lists, per_start = {}, {}
+    for start, den, table in starts:
+        probs, rows = {}, []
+        for seg, m in table:
+            if seg not in lists:
+                f, a, r = labels[seg]
+                lists[seg] = {"features": list(f)}
+                if model.observe_actions:
+                    lists[seg]["actions"] = list(a[1:])
+                if model.observe_rewards:
+                    lists[seg]["rewards"] = list(r[1:])
+            if m not in probs:
+                probs[m] = format_rational(Fraction(m, den))
+            rows.append({**lists[seg], "prob": probs[m]})
         per_start[str(start)] = rows
     _emit(
         {
             "command": "segdist",
             "inputs": {"mdp": mdp_input, "policy": policy_input, "observation_model": model_input},
-            "policy_id": dist.policy_id,
+            "policy_id": policy.describe(mdp),
             "distribution": per_start,
         }
     )

@@ -26,14 +26,17 @@ request. The engine interns features, action labels (by label, so
 one label at two states is one id) and reward values (as ints over their
 lcm, so no Fraction is hashed) as small ints in sorted order, so each
 value's id is its rank, and a segment is an id in a trie over per-step
-symbols, so the DPs key on ints; each id is labelled and ranked once, from
-its parent's label and rank, and `segment_distribution` orders the labelled
-segments by `ObservedSegment.sort_key`, compared on the ranks (the symbols'
-ids read as digits). Mass at time t is an int over D0 * (D * Dpi)**t, where
-D0, D and Dpi are the lcms of the initial, transition and policy-cell
-denominators (Dpi = 1 for deterministic policies). That denominator does
-not depend on the policy, so within a class two masses are equal as ints iff
-they are equal as Fractions; Fractions appear only at the public edge.
+symbols, so the DPs key on ints. `_ranked` reads a leaf's windows: each id
+is labelled and ranked once, from its parent's label and rank, and each
+start's (id, mass) pairs are ordered by `ObservedSegment.sort_key`, compared
+on the ranks (the symbols' ids read as digits). Mass at time t is an int
+over D0 * (D * Dpi)**t, where D0, D and Dpi are the lcms of the initial,
+transition and policy-cell denominators (Dpi = 1 for deterministic
+policies). That denominator does not depend on the policy, so within a class
+two masses are equal as ints iff they are equal as Fractions. Fractions
+appear only at the public edge: `segment_distribution` builds them from
+`_ranked`, while the CLI's `segdist` labels rewards with their wire strings
+and formats each symbol and each distinct mass of a start once.
 """
 
 from __future__ import annotations
@@ -512,15 +515,17 @@ class _Engine:
             self.sym.append(sym)
         return kid
 
-    def labelled(self) -> tuple[list, list]:
+    def labelled(self, rewards: Sequence) -> tuple[list, list]:
         """Every segment id's label and rank, each its parent's extended by
         one symbol. A label is (features, action labels, rewards), one of
         each per symbol (the first symbol's action and reward are the same
-        filler in every segment). A rank is three ints: the symbols' feature,
-        action label and reward ids read as digits. Values are interned in
-        sorted order, so an id is its value's rank, and on segments of one
-        length ranks compare as the labels' `ObservedSegment.sort_key`s do."""
-        fv, av, rv = self.features, self.labels, self.rewards
+        filler in every segment), a reward given as `rewards[id]`: the
+        Fractions `self.rewards` or their wire strings. A rank is three ints:
+        the symbols' feature, action label and reward ids read as digits.
+        Values are interned in sorted order, so an id is its value's rank,
+        and on segments of one length ranks compare as the labels'
+        `ObservedSegment.sort_key`s do."""
+        fv, av, rv = self.features, self.labels, rewards
         nf, na, nr = len(fv), len(av), len(rv)
         labels, ranks = [((), (), ())], [(0, 0, 0)]
         for up, sym in zip(self.parent[1:], self.sym[1:]):
@@ -558,18 +563,27 @@ def segment_distribution(
     return _segments(policy, _evaluate(mdp, policy, model))
 
 
-def _segments(policy: Policy, leaf: tuple) -> SegmentDistribution:
-    """`segment_distribution` read off a leaf of `_evaluate` under a model:
-    one window DP per start."""
+def _ranked(leaf: tuple, rewards: Sequence) -> tuple[list, list]:
+    """A leaf of `_evaluate` under a model, read one window DP per start, as
+    (labels, per start (t0, den, [(segment id, mass over den)] in
+    `ObservedSegment.sort_key` order)); `rewards` label the reward ids
+    (`_Engine.labelled`). The windows run first: they grow the trie."""
     engine, dists, _, cells = leaf
     model = engine.model
     tables = [engine.window(t0, dists, cells) for t0 in model.window_starts]
-    labels, ranks = engine.labelled()
+    labels, ranks = engine.labelled(rewards)
+    return labels, [(t0, engine.d0 * engine.step ** (t0 + model.window_length), sorted(table, key=lambda item: ranks[item[0]]))
+                    for t0, table in zip(model.window_starts, tables)]
+
+
+def _segments(policy: Policy, leaf: tuple) -> SegmentDistribution:
+    """`segment_distribution` read off a leaf of `_evaluate` under a model."""
+    engine, model = leaf[0], leaf[0].model
+    labels, starts = _ranked(leaf, engine.rewards)
     acts, rews = model.observe_actions, model.observe_rewards
     per_start = []
-    for t0, table in zip(model.window_starts, tables):
-        den = engine.d0 * engine.step ** (t0 + model.window_length)
-        rows = ((labels[seg], Fraction(m, den)) for seg, m in sorted(table, key=lambda item: ranks[item[0]]))
+    for t0, den, table in starts:
+        rows = ((labels[seg], Fraction(m, den)) for seg, m in table)
         segs = ((ObservedSegment(t0, f, a[1:] if acts else None, r[1:] if rews else None), p) for (f, a, r), p in rows)
         per_start.append((t0, tuple(segs)))
     return SegmentDistribution(model=model, policy_id=policy.describe(engine.mdp), per_start=tuple(per_start))

@@ -22,6 +22,7 @@ import hashlib
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable
 
 from .errors import InvalidParam, InvalidTrajectory, ParseError, ValidationError
 from .mdp import Policy, TabularMDP, Trajectory, _boolean, _cell, _integer, _policy, build_mdp, format_rational, parse_rational, validate_mdp
@@ -191,6 +192,21 @@ def _strings(obj, where) -> tuple[str, ...]:
     return tuple(items)
 
 
+def _rationals() -> Callable[[object, str], Fraction]:
+    """`parse_rational` for one document, which repeats a few rational
+    strings: each distinct one is parsed once. Only a value that parsed is
+    kept, so a bad one is reported at its first place."""
+    memo: dict[str, Fraction] = {}
+
+    def parse(value, where: str) -> Fraction:
+        rational = memo.get(value) if isinstance(value, str) else None
+        if rational is None:
+            rational = memo[value] = parse_rational(value, where)
+        return rational
+
+    return parse
+
+
 def _check_fields(d: dict, where: str, required: tuple, optional: tuple = ()):
     unknown = sorted(set(d) - set(required) - set(optional))
     if unknown:
@@ -247,6 +263,7 @@ def parse_mdp(text: str) -> TabularMDP:
             raise ParseError(f"unknown state {label!r}", "actions")
         actions[label] = _strings(acts, f"actions[{label}]")
 
+    rational = _rationals()
     transitions: dict[tuple[str, str], list] = {}
     for i, rec in enumerate(_as_list(top["transitions"], "transitions")):
         where = f"transitions[{i}]"
@@ -261,8 +278,8 @@ def parse_mdp(text: str) -> TabularMDP:
             raise ParseError(f"unknown state {nxt!r}", f"{where}.next")
         if a not in actions.get(s, ()):
             raise ParseError(f"state {s!r} has no action {a!r}", f"{where}.action")
-        p = parse_rational(rec["prob"], f"{where}.prob")
-        r = parse_rational(rec["reward"], f"{where}.reward")
+        p = rational(rec["prob"], f"{where}.prob")
+        r = rational(rec["reward"], f"{where}.reward")
         transitions.setdefault((s, a), []).append((nxt, p, r))
 
     horizon = _as_int(top["horizon"], "horizon")
@@ -270,7 +287,7 @@ def parse_mdp(text: str) -> TabularMDP:
     for label, p in _as_dict(top["initial"], "initial").items():
         if label not in known:
             raise ParseError(f"unknown state {label!r}", "initial")
-        initial[label] = parse_rational(p, f"initial[{label}]")
+        initial[label] = rational(p, f"initial[{label}]")
     terminal = []
     for i, label in enumerate(_as_list(top.get("terminal", []), "terminal")):
         label = _as_str(label, f"terminal[{i}]")
@@ -361,6 +378,8 @@ def parse_policy(text: str, mdp: TabularMDP) -> Policy:
     if horizon != mdp.horizon:  # before (row,) * horizon is built
         raise ValidationError([f"policy horizon {horizon} does not match MDP horizon {mdp.horizon}"])
 
+    rational = _rationals()
+
     def parse_row(row_doc, where):
         row = {}
         for label, cell in _as_dict(row_doc, where).items():
@@ -376,7 +395,7 @@ def parse_policy(text: str, mdp: TabularMDP) -> Policy:
                     raise ParseError(
                         f"state {label!r} has no action {a_label!r}", f"{where}[{label}]"
                     ) from None
-                entries.append((a, parse_rational(p, f"{where}[{label}][{a_label}]")))
+                entries.append((a, rational(p, f"{where}[{label}][{a_label}]")))
             row[s] = _cell(entries)
         return row
 
@@ -433,11 +452,10 @@ def parse_dataset(text: str) -> OfflineDataset:
     records = _as_list(top["trajectories"], "trajectories")
     if len(records) != n:
         raise ParseError(f"n is {n} but {len(records)} trajectories are present", "n")
-    # A dataset repeats a few records and reward strings: each distinct one is
-    # parsed once. Only values that parsed are kept, so a bad one is still
-    # reported where it is.
+    # A dataset repeats a few records: each distinct one is parsed once. Only
+    # records that parsed are kept, so a bad one is still reported where it is.
     parsed: dict[tuple, Trajectory] = {}
-    rationals: dict[str, Fraction] = {}
+    rational = _rationals()
     trajectories = []
     for i, rec in enumerate(records):
         key = _record_key(rec)
@@ -453,12 +471,7 @@ def parse_dataset(text: str) -> OfflineDataset:
         _check_fields(rec, where, required=("states", "actions", "rewards"))
         states = _strings(rec["states"], f"{where}.states")
         acts = _strings(rec["actions"], f"{where}.actions")
-        rewards = []
-        for j, r in enumerate(_as_list(rec["rewards"], f"{where}.rewards")):
-            value = rationals.get(r) if isinstance(r, str) else None
-            if value is None:
-                value = rationals[r] = parse_rational(r, f"{where}.rewards[{j}]")
-            rewards.append(value)
+        rewards = [rational(r, f"{where}.rewards[{j}]") for j, r in enumerate(_as_list(rec["rewards"], f"{where}.rewards"))]
         try:
             traj = Trajectory(states, acts, tuple(rewards))
         except InvalidTrajectory:

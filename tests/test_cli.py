@@ -1,17 +1,28 @@
 import builtins
+import dataclasses
 import hashlib
+import io
 import json
 import os
+import random
 import stat
 import sys
+import tempfile
+from contextlib import redirect_stdout
+from math import prod
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import shortsight as ss
+from shortsight import cli, observation
 from shortsight.cli import _build_parser, main
-from shortsight.serialize import parse_dataset, parse_mdp, parse_model, serialize_policy
+from shortsight.mdp import format_rational, policy_cells
+from shortsight.serialize import canonical_json, parse_dataset, parse_mdp, parse_model, serialize_mdp, serialize_model, serialize_policy
 
 from conftest import half_behavior
+from randmdp import random_mdp, random_model
+from test_goldens import workloads  # the benchmark's input builders
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +200,82 @@ def test_segdist_lists_normalized_distribution(tmp_path, prefix_files, capsys):
     report = json.loads(out)
     rows = report["distribution"]["1"]
     assert sum(ss.rational(r["prob"]) for r in rows) == 1
+
+
+def _segdist(directory, mdp, policy, model) -> str:
+    """The bytes of a `segdist` report on the documents of (mdp, policy, model)."""
+    paths = [os.path.join(directory, name) for name in ("mdp.json", "policy.json", "obs.json")]
+    for path, text in zip(paths, (serialize_mdp(mdp), serialize_policy(policy, mdp), serialize_model(model))):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["segdist", "--mdp", paths[0], "--policy", paths[1], "--obs", paths[2]]) == 0
+    return out.getvalue()
+
+
+def _distribution_rows(dist) -> dict:
+    """A report's "distribution" built from `segment_distribution`'s result:
+    one row per segment, each value through `format_rational`."""
+    per_start = {}
+    for start, items in dist.per_start:
+        rows = []
+        for seg, p in items:
+            row = {"features": list(seg.features), "prob": format_rational(p)}
+            if seg.actions is not None:
+                row["actions"] = list(seg.actions)
+            if seg.rewards is not None:
+                row["rewards"] = [format_rational(r) for r in seg.rewards]
+            rows.append(row)
+        per_start[str(start)] = rows
+    return per_start
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+@example(0, True, True, False)
+@example(0, False, False, True)
+def test_segdist_rows_are_the_library_distribution_formatted(seed, actions, rewards, deterministic):
+    # The CLI builds its rows from the engine's ranked tables; here they are
+    # built from `segment_distribution`, value by value, and must match byte
+    # for byte, with actions and rewards each shown and hidden.
+    rng = random.Random(seed)
+    mdp = random_mdp(rng)
+    model = dataclasses.replace(random_model(rng, mdp), observe_actions=actions, observe_rewards=rewards)
+    if deterministic:
+        stationary = rng.random() < 0.5
+        total = prod(len(mdp.actions[s]) for _, s in policy_cells(mdp, stationary))
+        policy = ss.policy_at_index(mdp, rng.randrange(total), stationary)
+    else:
+        policy = half_behavior(mdp)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = _segdist(tmp, mdp, policy, model)
+    report = json.loads(out)
+    assert report["distribution"] == _distribution_rows(ss.segment_distribution(mdp, policy, model))
+    assert out == canonical_json(report)
+
+
+def test_segdist_formats_each_reward_and_each_distinct_mass_of_a_start_once(tmp_path, monkeypatch):
+    # One call on a benchmark member: no `ObservedSegment` is built, each
+    # reward value is formatted once, and each distinct probability once per
+    # window start (its rows share the string).
+    mdp, model, behavior = workloads.random_dense_docs(ss, 0, 7)
+    dist = ss.segment_distribution(mdp, behavior, model)
+    formatted, built = [], []
+
+    def counted_format(value):
+        formatted.append(value)
+        return format_rational(value)
+
+    def counted_segment(*args):
+        built.append(args)
+        return ss.ObservedSegment(*args)
+
+    monkeypatch.setattr(cli, "format_rational", counted_format)
+    monkeypatch.setattr(observation, "ObservedSegment", counted_segment)
+    _segdist(tmp_path, mdp, behavior, model)
+    rewards = {r for row in mdp.transitions for outs in row for _, _, r in outs}
+    assert built == []
+    assert len(formatted) == len(rewards) + sum(len({p for _, p in items}) for _, items in dist.per_start)
 
 
 def test_ordering_greedy(tmp_path, capsys):

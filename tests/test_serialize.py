@@ -379,6 +379,19 @@ def test_unknown_fields_rejected_with_path():
     assert "transitions[3]" in str(exc.value)
 
 
+def test_a_repeated_bad_rational_is_reported_where_it_first_appears():
+    # Each distinct rational string of a document is parsed once. "2/2"
+    # comes after its canonical twin "1" has parsed, and is kept nowhere, so
+    # the first of its repeats is refused at its own place.
+    doc = json.loads(serialize_mdp(ss.build_prefix(1)[0]))
+    assert doc["transitions"][0]["prob"] == "1"
+    for rec in doc["transitions"][1:]:
+        rec["prob"] = "2/2"
+    with pytest.raises(ParseError) as exc:
+        parse_mdp(json.dumps(doc))
+    assert str(exc.value) == "transitions[1].prob: expected the canonical spelling '1', got '2/2'"
+
+
 def test_probability_sum_violation_is_validation_error():
     # two outcomes at 1/3 and one at 1/2 sum to 7/6 for (s0, L)
     doc = {
