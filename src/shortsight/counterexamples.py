@@ -30,7 +30,7 @@ from .observation import ObservationModel, _evaluate, _segments, all_window_star
 from .sufficiency import (
     DEFAULT_CAP,
     PolicyClass,
-    check_objective_consistency,
+    _ordering,
     check_sufficiency,
     require_cap,
 )
@@ -287,7 +287,7 @@ def _verify_greedy(spec: CounterexampleSpec, cap: int) -> PropositionReport:
     leaf_greedy, leaf_patient = _evaluate(mdp, all_greedy), _evaluate(mdp, all_patient)
     ret_greedy = _leaf_return(leaf_greedy, mdp.horizon - 1)
     ret_patient = _leaf_return(leaf_patient, mdp.horizon - 1)
-    report = check_objective_consistency(mdp, h, cap=cap)
+    report, _ = _ordering(mdp, h, True, cap)  # no argmax listing: the claims read none
     pclass = report.policy_class
 
     checks = [

@@ -20,15 +20,18 @@ below the node depends only on its depth and occupancy, so the check
 summarises each (depth, occupancy) once and lists the argmax members in a
 second walk; both passes are hooks on the engine's walk, which skip the
 subtrees they need not enter. Otherwise one pass over the walk holds only
-the maxima, their argmax members and what agreement still needs.
+the maxima, their argmax members and what agreement still needs, and once a
+truncated tie breaks its hook prunes: it skips each node whose path value
+plus a backward-induction bound on its suffix is below both running maxima.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import pairwise
+from typing import Callable
 
 from .evaluate import _kept_steps
 from .mdp import Policy, TabularMDP, _integer, policy_at_index, policy_class_size
@@ -332,14 +335,20 @@ def _argmax(walk, memo: dict, weights, best, key, cap: int) -> tuple[list[int], 
     return argmax
 
 
-def _memoised(engine: _Engine, stationary: bool, keep: int, cap: int) -> tuple:
-    """The ordering check's (maxima, argmax members, intersects, pairs) by
-    the memoised pass and the argmax walk. The class is one in which every
-    cell that a node's subtree reaches is undecided at the node: any
-    nonstationary class, and a stationary class on a `_layered` MDP. So the
-    subtree below a node depends only on its depth and occupancy."""
+def _weights(engine: _Engine, keep: int) -> list[tuple[int, int]]:
+    """Per step t, the (truncated, full) factors that scale step t's reward
+    into ints over den(keep) and den(T), so that comparing two values
+    compares the returns exactly."""
     T, step = engine.mdp.horizon, engine.step
-    weights = [(step ** (keep - 1 - t) if t < keep else 0, step ** (T - 1 - t)) for t in range(T)]
+    return [(step ** (keep - 1 - t) if t < keep else 0, step ** (T - 1 - t)) for t in range(T)]
+
+
+def _memoised(engine: _Engine, stationary: bool, weights, cap: int) -> tuple:
+    """The ordering check's (maxima, argmax listing, intersects, pairs) by
+    the memoised pass, the listing the argmax walk. The class is one in
+    which every cell that a node's subtree reaches is undecided at the node:
+    any nonstationary class, and a stationary class on a `_layered` MDP. So
+    the subtree below a node depends only on its depth and occupancy."""
 
     def key(t, first, last, dist) -> tuple:
         """A node's memo key. Its summary covers its members below the cap:
@@ -351,30 +360,74 @@ def _memoised(engine: _Engine, stationary: bool, keep: int, cap: int) -> tuple:
     walk = partial(engine.walk, stationary, None, cap)
     memo, root, pairs = _summaries(walk, weights, key)
     best = (root.bt, root.bf)
-    return best, _argmax(walk, memo, weights, best, key, cap), root.both, pairs
+    return best, partial(_argmax, walk, memo, weights, best, key, cap), root.both, pairs
 
 
-def _scanned(engine: _Engine, keep: int, cap: int) -> tuple:
-    """The ordering check's (maxima, argmax members, intersects, pairs) by
+def _bounds(engine: _Engine, weights) -> list[tuple[list[int], list[int]]]:
+    """Per depth t, per objective, per state s, V_t(s): the best weighted
+    value of steps t to T - 1 from unit mass at s at t, over every action at
+    every step, so a bound on every completion of a node at t. By backward
+    induction, V_T(s) = 0 and V_t(s) = max over s's cells of the sum of
+    q * p * (r_num[r] * w_t + V_(t+1)(s2)); integers only, so exact."""
+    bounds, r_num = [([0] * len(engine.point),) * 2], engine.r_num
+    for w in reversed(weights):
+        after = bounds[-1]
+        bounds.append(tuple(
+            [max(sum(q * p * (r_num[r] * w[k] + after[k][s2]) for q, o in cell for s2, p, r, _ in o) for cell in cells)
+             for cells in engine.point]
+            for k in (0, 1)
+        ))
+    return bounds[::-1]
+
+
+def _scanned(engine: _Engine, weights, cap: int) -> tuple:
+    """The ordering check's (maxima, argmax listing, intersects, pairs) by
     one pass over the walk's leaves, for a stationary class on an MDP that
-    is not layered."""
-    # Per objective (truncated, full), as ints over one denominator each so
-    # that comparing them compares the returns exactly: the running maximum
-    # and the members at it.
+    is not layered, pruned once a truncated tie breaks. Maxima only rise, so
+    a node whose bound is below both running maxima holds no member at
+    either final maximum, nor one at both."""
+    T, bounds = len(weights), _bounds(engine, weights)
+    # Per objective (truncated, full), as ints over one denominator each:
+    # the running maximum and the members at it; and the values of the path
+    # to each depth.
     best, argmax, intersects, full_of = [None, None], [[], []], False, {}
-    for behaviour, _, rewards, _ in engine.walk(True, None, cap):
-        values = [engine.total(rewards[:keep]), engine.total(rewards)]
+    path = [(0, 0)] * (T + 1)
+
+    def enter(t, first, last, dist, r) -> bool:
+        (wt, wf), (vt, vf) = weights[t - 1], path[t - 1]
+        vt, vf = path[t] = vt + r * wt, vf + r * wf
+        if full_of is not None:
+            return False
+        bt, bf = bounds[t]
+        return vt + sum(m * bt[s] for s, m in dist.items()) < best[0] and vf + sum(m * bf[s] for s, m in dist.items()) < best[1]
+
+    for behaviour, *_ in engine.walk(True, None, cap, enter):
+        values = path[T]
         for k, value in enumerate(values):
             if best[k] is None or value > best[k]:
                 best[k], argmax[k], intersects = value, [], False
             if value == best[k]:
                 argmax[k].extend(behaviour.members(cap))
-        intersects = intersects or values == best
+        intersects = intersects or tuple(best) == values
         if full_of is not None and full_of.setdefault(*values) != values[1]:
             full_of = None
-    for members in argmax:
-        members.sort()
-    return best, argmax, intersects, full_of
+    return best, lambda: [sorted(members) for members in argmax], intersects, full_of
+
+
+def _ordering(mdp: TabularMDP, last_step: int, stationary: bool, cap: int) -> tuple[OrderingReport, Callable]:
+    """The ordering check with its argmax sets left empty, and the call that
+    lists them: the maxima and both flags, all that `verify` reads, cost no
+    listing of members."""
+    pclass, engine = _enter(mdp, None, stationary, cap)
+    keep = _kept_steps(mdp, last_step)
+    weights = _weights(engine, keep)
+    if stationary and not _layered(engine):
+        best, listing, intersects, full_of = _scanned(engine, weights, cap)
+    else:
+        best, listing, intersects, full_of = _memoised(engine, stationary, weights, cap)
+    agrees = full_of is not None and all(f1 < f2 for f1, f2 in pairwise(full_of[t] for t in sorted(full_of)))
+    best_t, best_f = Fraction(best[0], engine.den(keep)), Fraction(best[1], engine.den(mdp.horizon))
+    return OrderingReport(last_step, (), (), best_t, best_f, intersects, agrees, pclass), listing
 
 
 def check_objective_consistency(
@@ -404,24 +457,16 @@ def check_objective_consistency(
     so a capped class gets the answers a walk gives. The argmax members come
     from a second walk whose hook enters only the subtrees whose maximum
     reaches the class's, and reads the members off the leaves it lets
-    through. A stationary class on an MDP that is not layered is walked leaf
-    by leaf.
-    """
-    pclass, engine = _enter(mdp, None, stationary, cap)
-    keep = _kept_steps(mdp, last_step)
-    if stationary and not _layered(engine):
-        best, argmax, intersects, full_of = _scanned(engine, keep, cap)
-    else:
-        best, argmax, intersects, full_of = _memoised(engine, stationary, keep, cap)
-    agrees = full_of is not None and all(f1 < f2 for f1, f2 in pairwise(full_of[t] for t in sorted(full_of)))
+    through.
 
-    return OrderingReport(
-        last_step=last_step,
-        truncated_argmax=tuple(argmax[0]),
-        full_argmax=tuple(argmax[1]),
-        best_truncated=Fraction(best[0], engine.den(keep)),
-        best_full=Fraction(best[1], engine.den(mdp.horizon)),
-        argmax_intersects=intersects,
-        ordering_agrees=agrees,
-        policy_class=pclass,
-    )
+    A stationary class on an MDP that is not layered is scanned in one walk,
+    leaf by leaf until a truncated tie breaks. From then on agreement is
+    settled false, and the walk is a branch and bound: a node is skipped
+    when, in both objectives, its path value plus the best value of its
+    suffix over every nonstationary policy (`_bounds`) is below the running
+    maximum. Where agreement holds, every leaf is still walked: wherever
+    last_step >= T - 1, for one, as the two returns are then one.
+    """
+    report, listing = _ordering(mdp, last_step, stationary, cap)
+    truncated, full = listing()
+    return replace(report, truncated_argmax=tuple(truncated), full_argmax=tuple(full))

@@ -86,6 +86,15 @@ def test_verify_prop2_covers_a_large_class_under_a_cap_above_it(capsys):
     assert "class truncated by the cap" not in out
 
 
+def test_verify_prop2_covers_a_class_of_2_to_the_81(capsys):
+    # 2^81 policies in 2^41 behaviours: verify reads the maxima and flags
+    # off the memo's 82 nodes and lists no argmax member.
+    code, out, _ = run_cli(capsys, "verify", "--prop", "2", "--H", "40", "--M", "400", "--cap", "1" + "0" * 30)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert "class truncated by the cap" not in out
+
+
 def test_verify_all_props_exit_zero(capsys):
     assert run_cli(capsys, "verify", "--prop", "1", "--H", "2")[0] == 0
     assert run_cli(capsys, "verify", "--prop", "3", "--H", "2")[0] == 0

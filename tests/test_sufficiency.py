@@ -415,13 +415,61 @@ def test_the_checkers_list_the_class_cells_once_per_walk(monkeypatch):
 def test_a_stationary_class_on_an_mdp_that_is_not_layered_is_walked(monkeypatch):
     # Each state of this benchmark input is reachable at several steps, so a
     # cell below a walk node may be decided above it: the ordering check
-    # walks every behaviour, and summarises none.
+    # walks the class, and summarises no node. Of its 108 behaviours, 36
+    # leaves are let through: a truncated tie breaks early, and from then on
+    # the scan skips 14 nodes whose value bound is below both maxima.
     mdp, _, _ = workloads.random_dense_docs(ss, 0, 7)
     calls = _count_evaluations(monkeypatch)
     _count_memo_nodes(monkeypatch, calls)
+    _count_pruned(monkeypatch, calls)
     report = ss.check_objective_consistency(mdp, 2)
     assert report.policy_class.enumerated == 128
-    assert calls == {"leaf": 108}
+    assert calls == {"leaf": 36, "pruned": 14}
+
+
+def test_the_pruned_ordering_scan_matches_the_oracle(monkeypatch):
+    # Stationary classes on MDPs that are not layered, with rewards in
+    # {0, 1} so that truncated ties break and the scan prunes, and a last
+    # step in the first half of the horizon, where the two argmax sets part
+    # most often. A prune on one objective alone, on a bound equal to a
+    # maximum, or on a bound that is not an upper bound drops argmax
+    # members the oracle lists.
+    calls = Counter()
+    _count_pruned(monkeypatch, calls)
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def matches(seed, data):
+        rng = random.Random(seed)
+        for _ in range(100):
+            mdp = random_mdp(rng, max_states=8, max_horizon=6)
+            total = ss.policy_class_size(mdp, True)
+            if total <= 256 and not sufficiency._layered(observation._Engine(mdp)):
+                break
+        assume(total <= 256)
+        assert not sufficiency._layered(observation._Engine(mdp))
+        mdp = _with_rewards(mdp, lambda r: Fraction(r > 0))
+        cap = data.draw(st.one_of(st.integers(1, total), st.just(ss.DEFAULT_CAP)), label="cap")
+        policies = list(islice(all_stationary_policies(mdp), cap))
+        _ordering_matches_the_oracle(mdp, rng.randint(0, mdp.horizon // 2), True, cap, policies)
+
+    matches()
+    assert calls["pruned"] > 0
+
+
+def test_the_ordering_scan_prunes_a_larger_class(monkeypatch):
+    # rd13 with T=8: 8192 stationary policies in 5528 behaviours, which the
+    # scan without its bound walked to the last leaf. The report is the one
+    # that walk gave.
+    monkeypatch.setattr(workloads, "RD_HORIZON", 8)
+    mdp, _, _ = workloads.random_dense_docs(ss, 0, 13)
+    calls = _count_evaluations(monkeypatch)
+    report = ss.check_objective_consistency(mdp, 2)
+    assert calls == {"leaf": 56}
+    assert report == ss.OrderingReport(
+        2, (2700, 2701, 2702, 2703), (2203, 2207), Fraction(3959, 6000), Fraction(2981003, 1080000), False, False,
+        ss.PolicyClass("deterministic-stationary", 8192, 8192, False),
+    )
 
 
 def test_ordering_covers_a_large_greedy_class(monkeypatch):
@@ -439,6 +487,26 @@ def test_ordering_covers_a_large_greedy_class(monkeypatch):
     assert not report.ordering_agrees
 
 
+def test_verify_lists_no_argmax_member(monkeypatch):
+    # Proposition 2's claims read the maxima and the two flags, which the
+    # memoised pass yields: it lets no leaf through and lists no member.
+    # The two leaves are the walks of the all-greedy and all-patient
+    # policies, each a class of one.
+    calls = _count_evaluations(monkeypatch)
+    inner = ss.mdp.Behaviour.members
+
+    def members(*args):
+        calls["members"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(ss.mdp.Behaviour, "members", members)
+    report = ss.verify_proposition(2, 16, 160, cap=10**15)
+    assert report.passed
+    assert calls == {"leaf": 2}
+    ss.check_objective_consistency(ss.build_greedy(3, 10)[0], 3)
+    assert calls["members"] > 0
+
+
 def _count_steps(monkeypatch, calls):
     """Count, in `calls`, the forward DP's steps."""
     inner = observation._Engine.advance
@@ -448,6 +516,23 @@ def _count_steps(monkeypatch, calls):
         return inner(*args)
 
     monkeypatch.setattr(observation._Engine, "advance", wrapper)
+
+
+def _count_pruned(monkeypatch, calls):
+    """Count, in `calls`, the nodes that a walk's hook skips: on the
+    ordering scan of a class that is not memoised, its prunes."""
+    inner = observation._Engine.walk
+
+    def wrapper(self, stationary, options=None, cap=None, enter=None):
+        def counted(*args):
+            skip = enter(*args)
+            if skip:
+                calls["pruned"] += 1
+            return skip
+
+        return inner(self, stationary, options, cap, enter and counted)
+
+    monkeypatch.setattr(observation._Engine, "walk", wrapper)
 
 
 def _count_memo_nodes(monkeypatch, calls):
