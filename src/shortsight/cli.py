@@ -177,9 +177,9 @@ def _cmd_segdist(args) -> int:
                 f, a, r = labels[seg]
                 lists[seg] = {"features": list(f)}
                 if model.observe_actions:
-                    lists[seg]["actions"] = list(a[1:])
+                    lists[seg]["actions"] = list(a)
                 if model.observe_rewards:
-                    lists[seg]["rewards"] = list(r[1:])
+                    lists[seg]["rewards"] = list(r)
             if m not in probs:
                 probs[m] = format_rational(Fraction(m, den))
             rows.append({**lists[seg], "prob": probs[m]})

@@ -14,8 +14,8 @@ Each builder returns a (TabularMDP, ObservationModel) pair:
 
 `verify_proposition` re-derives each family's claimed exact values with the
 engine and reports a per-claim pass/fail table. Each of a proposition's two
-policies is walked once, and both its returns (proposition 2) or its segment
-distribution and full return (1 and 3) are read off that one leaf.
+policies takes one forward pass, and both its returns (proposition 2) or its
+segment distribution and full return (1 and 3) are read off that pass.
 """
 
 from __future__ import annotations

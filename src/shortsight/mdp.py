@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -442,12 +443,13 @@ class Behaviour(NamedTuple):
 
     def members(self, below: int) -> list[int]:
         """Member indices less than `below`, ascending."""
-        # Extend the indices one free cell at a time, most significant first:
-        # a cell's digits span less than the gap between two indices so far,
-        # so the list stays ascending; nothing at or past `below` is extended.
+        # Most significant free cell first: its digits span less than the gap
+        # between two indices so far, so the list stays ascending; cut at `below`.
         indices = [self.first] if self.first < below else []
         for radix, place in self.free:
-            indices = [j for i in indices for j in range(i, min(i + radix * place, below), place)]
+            digits = range(0, radix * place, place)
+            indices = [i + d for i in indices for d in digits]
+            del indices[bisect_left(indices, below) :]
         return indices
 
 

@@ -10,17 +10,16 @@ One private integer engine does that work and the forward pass behind
 `evaluate` and the checkers. Each public call builds its own, for its
 (MDP, model), in one of two entries that check the inputs first:
 `_evaluate` here for a single policy, `sufficiency._enter` for a class. The
-engine's integer tables are kept on the MDP, one set for the last (model,
-den_pi) compiled, so calls in turn on one MDP and model compile once; each
-engine starts its own segment trie. Its one forward DP is a depth-first
-walk over a policy class that advances the occupancy one step per node and
-yields one leaf per behaviour. It is the one expander of the class tree: a
-caller that needs less than every leaf passes a hook that sees each node as
-the walk enters it and may skip the node's subtree or keep a leaf from being
-yielded, as the ordering check's two passes do. A single policy is a class
-of one, walked to its one leaf, and `validate_policy` reads what the policy
-reaches off that leaf, as the readers of a single-policy call read its
-returns and tables.
+engine's integer tables are kept on the MDP, one set for the last model
+compiled, which also serves a call without a model, so calls in turn on one
+MDP and model compile once; each engine starts its own segment trie. A
+single policy takes one forward pass, one `advance` per step over its own
+cells, and `validate_policy` reads what it reaches off that pass. A class
+is walked depth first, the occupancy advanced once per node, one leaf per
+behaviour. The walk is the one expander of the class tree: a caller that
+needs less than every leaf passes a hook that sees each node as the walk
+enters it and may skip the node's subtree or keep a leaf from being
+yielded, as the ordering check's passes do.
 A window DP runs from a leaf's occupancy and cells, one start at a time, on
 request. The engine interns features, action labels (by label, so
 one label at two states is one id) and reward values (as ints over their
@@ -158,8 +157,8 @@ def _exact_pair(entry) -> bool:
 
 def _walk_policy(mdp: TabularMDP, policy: Policy, model: ObservationModel | None) -> tuple:
     """`validate_policy` on a checked MDP, as (problems, engine, leaf): the
-    engine compiled for (MDP, model) and the policy, and the (occupancy,
-    rewards, cells) of its one walk; both None if the rows do not fit."""
+    policy's engine for (MDP, model) and the (occupancy, rewards, cells) of
+    its forward pass, as a leaf of `_Engine.walk`; None if rows do not fit."""
     problems = []
     seen_msg = set()
 
@@ -219,20 +218,27 @@ def _walk_policy(mdp: TabularMDP, policy: Policy, model: ObservationModel | None
     if policy.horizon != mdp.horizon or not readable:
         return problems, None, None
 
-    # Coverage: one walk of the policy's own class. Each cell walks its
-    # entries with q > 0 at available actions; an undefined cell walks the
-    # empty cell, so its mass goes nowhere and the walk yields one leaf.
-    keys, rows = policy_cells(mdp, policy.stationary), policy.rows
-    cells = [[(a, q) for a, q in rows[t].get(s, ()) if q.numerator > 0 and 0 <= a < len(mdp.actions[s])] for t, s in keys]
-    den_pi = lcm(*(q.denominator for cell in cells for _, q in cell))
+    # Coverage, as the pass goes: each cell keeps its entries with q > 0 at
+    # available actions, and an undefined cell is empty (its mass goes nowhere).
+    kept = [{s: [(a, q) for a, q in cell if q.numerator > 0 and 0 <= a < len(mdp.actions[s])]
+             for s, cell in row.items() if 0 <= s < mdp.n_states and not mdp.is_terminal(s)}
+            for row in policy.rows[: 1 if policy.stationary else None]]
+    den_pi = lcm(*(q.denominator for row in kept for cell in row.values() for _, q in cell))
     engine = _Engine(mdp, model, den_pi)
-    options = [[tuple([(q.numerator * (den_pi // q.denominator), engine.outs[s][a]) for a, q in cell])] for (_, s), cell in zip(keys, cells)]
-    ((_, dists, rewards, steps),) = engine.walk(policy.stationary, options)
+    outs = engine.outs
+    forced = {s: ((den_pi, outs[s][0]),) for s in mdp.terminal}  # a terminal's one action, with certainty
+    rows = [forced | {s: tuple([(q.numerator * (den_pi // q.denominator), outs[s][a]) for a, q in cell]) for s, cell in row.items()} for row in kept]
+    dists, rewards, steps = [engine.init], [], []
     for t in range(mdp.horizon):
-        for s in sorted(dists[t]):
-            if s not in rows[0 if policy.stationary else t] and not mdp.is_terminal(s):
-                add(f"policy undefined at t={t} for reachable state {mdp.states[s]}")
-    return problems, engine, (dists, rewards, steps)
+        row = rows[0 if policy.stationary else t]
+        step = {s: row.get(s, ()) for s in sorted(dists[-1])}
+        for s in sorted(step.keys() - row.keys()):
+            add(f"policy undefined at t={t} for reachable state {mdp.states[s]}")
+        nxt, reward = engine.advance(dists[-1], step)
+        dists.append(nxt)
+        rewards.append(reward)
+        steps.append(step)
+    return problems, engine, (tuple(dists), tuple(rewards), tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -309,10 +315,9 @@ def _check_trajectory(mdp: TabularMDP, trajectory: Trajectory) -> None:
             )
 
 
-def _compile(mdp: TabularMDP, model: ObservationModel | None, den_pi: int) -> dict:
-    """The integer tables of (MDP, model, den_pi), by `_Engine` attribute
-    name. They hold ints, strings and Fractions only, nothing that refers
-    back to the MDP."""
+def _compile(mdp: TabularMDP, model: ObservationModel | None) -> dict:
+    """The integer tables of (MDP, model), by `_Engine` attribute name: ints,
+    strings and Fractions only, nothing that refers back to the MDP."""
     d = lcm(*(p.denominator for row in mdp.transitions for outs in row for _, p, _ in outs))
     d0 = lcm(*(p.denominator for p in mdp.initial))
     init = {s: p.numerator * (d0 // p.denominator) for s, p in enumerate(mdp.initial) if p}
@@ -342,9 +347,9 @@ def _compile(mdp: TabularMDP, model: ObservationModel | None, den_pi: int) -> di
                     kept.append((s2, p.numerator * (d // p.denominator), k,
                                  ((aid[a] if acts else 0) * nr + (k if rews else 0)) * nf + root[s2]))
             outs[-1].append(tuple(kept))
-    # The cell of each point mass, by (state, action id).
-    point = [[((den_pi, o),) for o in row] for row in outs]
-    return dict(d0=d0, step=d * den_pi, init=init, rewards=[Fraction(n, r_den) for n in r_num], r_den=r_den, r_num=r_num,
+    # The cell of each unit point mass, by (state, action id).
+    point = [[((1, o),) for o in row] for row in outs]
+    return dict(d=d, d0=d0, init=init, rewards=[Fraction(n, r_den) for n in r_num], r_den=r_den, r_num=r_num,
                 features=features, labels=labels, nf=nf, nr=nr, nsym=nsym, root=root, outs=outs, point=point)
 
 
@@ -352,31 +357,33 @@ class _Engine:
     """An MDP, and optionally an observation model, compiled to integers.
 
     See the module docstring. `den_pi` is a common multiple of the cell
-    denominators of every policy run through the engine: 1 for the
-    deterministic classes the checkers enumerate. The tables (`_compile`) are
-    kept on the MDP, one set for the last (model, den_pi) compiled, so engines
-    built in turn for one (MDP, model, den_pi) compile once; the segment trie
-    belongs to each engine and starts empty.
+    denominators of the policies run through the engine: 1 for a class, a
+    single policy's own for its pass. It sets only `step`, the mass
+    denominator of a step, as the tables (`_compile`) are kept on the MDP by
+    model; the segment trie is the engine's own and starts empty.
     """
 
     def __init__(self, mdp: TabularMDP, model: ObservationModel | None = None, den_pi: int = 1):
         self.mdp, self.model = mdp, model
-        key, tables = getattr(mdp, "_compiled", (None, None))
-        if key != (model, den_pi):
-            tables = _compile(mdp, model, den_pi)
-            object.__setattr__(mdp, "_compiled", ((model, den_pi), tables))
+        # (model, tables) of the last compile, or None before the first. An
+        # engine without a model runs no window, so any model's tables serve.
+        compiled = getattr(mdp, "_compiled", None)
+        if compiled is None or model is not None and compiled[0] != model:
+            compiled = model, _compile(mdp, model)
+            object.__setattr__(mdp, "_compiled", compiled)
         # setattr, not vars(self).update: CPython keeps set attributes in the
         # class's shared-key layout, which reads faster than a plain dict.
-        for name, value in tables.items():
+        for name, value in compiled[1].items():
             setattr(self, name, value)
+        self.step = self.d * den_pi
         # Segment ids: a trie over step symbols. Id 0 is the empty segment;
         # kids maps parent * nsym + symbol to the child id.
         self.kids: dict[int, int] = {}
         self.parent, self.sym = [0], [0]
 
-    def walk(self, stationary: bool, options: Sequence[Sequence] | None = None, cap: int | None = None, enter: Callable[..., bool] | None = None) -> Iterator[tuple]:
-        """Depth-first over a policy class: one leaf per behaviour, and with a
-        `cap` only those whose first member is below it.
+    def walk(self, stationary: bool, cap: int, enter: Callable[..., bool] | None = None) -> Iterator[tuple]:
+        """Depth-first over the deterministic class: one leaf per behaviour
+        whose first member is below `cap`.
 
         A leaf is (behaviour, occupancy, rewards, cells). occupancy[t] maps
         state ids to masses over d0 * step**t; rewards[t], the expected
@@ -390,12 +397,11 @@ class _Engine:
         reached, so a cell decided deeper can be more significant, and
         stationary leaves need not come in that order.
 
-        Cell k of `policy_cells(mdp, stationary)` takes one of `options[k]`:
-        one cell for a single policy, and when `options` is omitted every
-        point mass, the deterministic class. Each node advances the
-        occupancy one step and branches only at reached cells still
-        undecided, the occupancy's keys. The walk keeps its own stack, so
-        the horizon does not bound the call depth.
+        Cell (t, s) of `policy_cells(mdp, stationary)` takes one of the unit
+        point masses `point[s]`, its digit the action id. Each node advances
+        the occupancy one step and branches only at the reached cells still
+        undecided. The walk keeps its own stack, so the horizon does not
+        bound the call depth.
 
         `enter(t, first, last, occupancy, step_reward)`, when given, is
         called at every node below the root whose first member is below the
@@ -408,8 +414,7 @@ class _Engine:
         """
         mdp, point = self.mdp, self.point
         cells = policy_cells(mdp, stationary)
-        options = [point[s] for _, s in cells] if options is None else options
-        radices = [len(o) for o in options]
+        radices = [len(point[s]) for _, s in cells]
         places = _place_values(radices)
         spans = [(n - 1) * w for n, w in zip(radices, places)]
         position = {cell: k for k, cell in enumerate(cells)}
@@ -440,7 +445,7 @@ class _Engine:
                 combo = next(combos, None)
                 if combo is not None:
                     first = base + sum(a * places[k] for k, a in zip(pending, combo))
-                    if cap is None or first < cap:
+                    if first < cap:
                         break
                 for k in pending:
                     digits[k] = None
@@ -449,7 +454,7 @@ class _Engine:
                 return
             for k, a in zip(pending, combo):
                 digits[k] = a
-            step = {s: point[s][0] if k is None else options[k][digits[k]] for s, k in here}
+            step = {s: point[s][0 if k is None else digits[k]] for s, k in here}
             nxt, reward = self.advance(dists[-1], step)
             dists.append(nxt)
             rewards.append(reward)
@@ -517,9 +522,9 @@ class _Engine:
 
     def labelled(self, rewards: Sequence) -> tuple[list, list]:
         """Every segment id's label and rank, each its parent's extended by
-        one symbol. A label is (features, action labels, rewards), one of
-        each per symbol (the first symbol's action and reward are the same
-        filler in every segment), a reward given as `rewards[id]`: the
+        one symbol. A label is (features, action labels, rewards): a feature
+        per symbol, an action label and a reward per symbol after the first
+        (which shows a feature alone), a reward given as `rewards[id]`: the
         Fractions `self.rewards` or their wire strings. A rank is three ints:
         the symbols' feature, action label and reward ids read as digits.
         Values are interned in sorted order, so an id is its value's rank,
@@ -532,14 +537,15 @@ class _Engine:
             (a, r), f = divmod(sym // nf, nr), sym % nf
             lf, la, lr = labels[up]
             kf, ka, kr = ranks[up]
-            labels.append((lf + (fv[f],), la + (av[a],), lr + (rv[r],)))
+            shown = up > 0  # the first symbol's action and reward ids are 0
+            labels.append((lf + (fv[f],), la + (av[a],) * shown, lr + (rv[r],) * shown))
             ranks.append((kf * nf + f, ka * na + a, kr * nr + r))
         return labels, ranks
 
 
 def _evaluate(mdp: TabularMDP, policy: Policy, model: ObservationModel | None = None) -> tuple:
     """The one entry of a single-policy call: the MDP and the model if given
-    are checked, then the policy by the walk `validate_policy` reads, whose
+    are checked, then the policy by the pass `validate_policy` reads, whose
     leaf this returns as (engine, occupancy, rewards, cells) for readers
     such as `_segments` and `evaluate._leaf_return`."""
     _require(mdp, model)
@@ -584,7 +590,7 @@ def _segments(policy: Policy, leaf: tuple) -> SegmentDistribution:
     per_start = []
     for t0, den, table in starts:
         rows = ((labels[seg], Fraction(m, den)) for seg, m in table)
-        segs = ((ObservedSegment(t0, f, a[1:] if acts else None, r[1:] if rews else None), p) for (f, a, r), p in rows)
+        segs = ((ObservedSegment(t0, f, a if acts else None, r if rews else None), p) for (f, a, r), p in rows)
         per_start.append((t0, tuple(segs)))
     return SegmentDistribution(model=model, policy_id=policy.describe(engine.mdp), per_start=tuple(per_start))
 

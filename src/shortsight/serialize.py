@@ -295,12 +295,6 @@ def parse_mdp(text: str) -> TabularMDP:
             raise ParseError(f"unknown state {label!r}", f"terminal[{i}]")
         terminal.append(label)
 
-    # Ensure every declared action has a transition row, even if empty, so
-    # the sum-to-1 check reports it as a validation problem, not a crash.
-    for s, acts in actions.items():
-        for a in acts:
-            transitions.setdefault((s, a), [])
-
     mdp = build_mdp(states, actions, transitions, horizon, initial, terminal)
     problems = validate_mdp(mdp)
     if problems:

@@ -17,12 +17,12 @@ already holds before it runs any window DP. The ordering check keeps no
 leaf. Where every cell below a walk node is undecided at it (any
 nonstationary class, and a stationary class on a layered MDP) the subtree
 below the node depends only on its depth and occupancy, so the check
-summarises each (depth, occupancy) once and lists the argmax members in a
-second walk; both passes are hooks on the engine's walk, which skip the
-subtrees they need not enter. Otherwise one pass over the walk holds only
-the maxima, their argmax members and what agreement still needs, and once a
-truncated tie breaks its hook prunes: it skips each node whose path value
-plus a backward-induction bound on its suffix is below both running maxima.
+summarises each (depth, occupancy) once. Otherwise one pass over the walk
+holds only the maxima, their argmax members and what agreement still
+needs. Every pass is a hook on the engine's walk, and both paths list
+members with one prune: a node whose path value plus a backward-induction bound on
+its suffix (`_bounds`) is below both maxima is skipped, by the memoised
+path's listing walk, and by the scan once a truncated tie breaks.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def check_sufficiency(
     last = model.window_starts[-1]
     keyed = (
         (tuple(rewards[t] for t in seen), (b.first, engine.total(rewards), dists[: last + 1], cells[: last + H]))
-        for b, dists, rewards, cells in engine.walk(stationary, None, cap)
+        for b, dists, rewards, cells in engine.walk(stationary, cap)
     )
     survivors = _split(keyed)
     for t0 in order:
@@ -242,22 +242,22 @@ def _union(into: dict, pairs) -> bool:
     return all(into.setdefault(k, v) == v for k, v in pairs)
 
 
-def _summaries(walk, weights, key) -> tuple[dict, _Node, dict | None]:
-    """The memoised pass, as (memo, root, pairs): the hook of one `walk`,
-    which it lets through no leaf.
+def _summaries(walk, weights, key) -> tuple[_Node, dict | None]:
+    """The memoised pass, as (root, pairs): the hook of one `walk`, which
+    it lets through no leaf.
 
     A node's summary is its truncated and full suffix maxima and whether one
     behaviour reaches both, as ints over the class's two denominators
     (`weights[t]` scales step t's reward into each). It is computed once per
-    memo key, by walking the node, and taken from the memo wherever the key
-    recurs, the node's subtree skipped. The memo holds the nodes at depths
-    1 to T - 2: the root never recurs, and a node at depth T - 1 is
-    summarised from its leaves wherever it is met, as the nodes of that
-    depth are the most numerous and, where occupancies are rarely shared, a
-    key for each would only cost time and memory. The open nodes are a
-    stack by depth; the walk is depth-first, so the nodes at depth t or
-    deeper are closed, and their summaries complete, when a node at depth t
-    is entered. Each leaf is folded into its parent where it is entered.
+    memo key (a node keyed None, once per node), by walking the node, and
+    taken wherever the key recurs, the node's subtree skipped. The memo
+    holds the keyed nodes at depths 1 to T - 2: the root never recurs, and
+    a node at depth T - 1 is summarised from its leaves wherever it is met,
+    as the nodes of that depth are the most numerous and, where occupancies
+    are rarely shared, a key for each would only cost time and memory. The
+    open nodes are a stack by depth; the walk is depth-first, so the nodes
+    at depth t or deeper are closed, and their summaries complete, when a
+    node at depth t is entered. A leaf is folded into its parent on entry.
     `pairs` maps each truncated value of the class to its full value while
     no tie breaks, else is None. Until then a node whose key recurs also
     keeps its own pairs, with the path values they were taken under; a node
@@ -307,23 +307,24 @@ def _summaries(walk, weights, key) -> tuple[dict, _Node, dict | None]:
         pass
     close(1)
     root = stack[0]
-    return memo, root, root.pairs if agreeing else None
+    return root, root.pairs if agreeing else None
 
 
-def _argmax(walk, memo: dict, weights, best, key, cap: int) -> tuple[list[int], list[int]]:
+def _argmax(walk, bounds, weights, best, cap: int) -> tuple[list[int], list[int]]:
     """The members at the truncated and the full maximum, each ascending: a
-    second `walk`, whose hook skips a node whose memoised maxima reach
-    neither of the class's (a node at depth T - 1, not memoised, is entered
-    to read its leaves)."""
+    second `walk`, whose hook skips each node, leaves included, that is
+    `_below` both of the class's maxima. On the memoised pass's classes the
+    cells below a node are undecided at it and independent per (t, s), so
+    by Bellman optimality `bounds` is the node's exact suffix maximum: the
+    walk expands only nodes with a completion at a maximum, which on a
+    capped class may lie past the cap."""
     T, argmax = len(weights), ([], [])
     path = [(0, 0)] * (T + 1)  # the truncated and full values of the path to each depth
 
     def enter(t, first, last, dist, r) -> bool:
-        vt, vf = path[t] = path[t - 1][0] + r * weights[t - 1][0], path[t - 1][1] + r * weights[t - 1][1]
-        if t < T - 1:
-            bt, bf, _, _ = memo[key(t, first, last, dist)]
-            return vt + bt != best[0] and vf + bf != best[1]
-        return False
+        (wt, wf), (vt, vf) = weights[t - 1], path[t - 1]
+        vt, vf = path[t] = vt + r * wt, vf + r * wf
+        return _below(bounds[t], vt, vf, dist, best)
 
     for behaviour, *_ in walk(enter):
         members = behaviour.members(cap)
@@ -350,34 +351,37 @@ def _memoised(engine: _Engine, stationary: bool, weights, cap: int) -> tuple:
     any nonstationary class, and a stationary class on a `_layered` MDP. So
     the subtree below a node depends only on its depth and occupancy."""
 
-    def key(t, first, last, dist) -> tuple:
-        """A node's memo key. Its summary covers its members below the cap:
-        when every member is below it, that is its subtree, which its depth
-        and occupancy fix; otherwise the node is keyed by itself, which its
-        depth and first index name."""
-        return (t, tuple(sorted(dist.items()))) if last < cap else (t, first)
+    def key(t, first, last, dist) -> tuple | None:
+        """A node's memo key: its depth and occupancy, which fix its subtree,
+        or None if it straddles the cap, as its summary is then its own."""
+        return (t, tuple(sorted(dist.items()))) if last < cap else None
 
-    walk = partial(engine.walk, stationary, None, cap)
-    memo, root, pairs = _summaries(walk, weights, key)
+    walk = partial(engine.walk, stationary, cap)
+    root, pairs = _summaries(walk, weights, key)
     best = (root.bt, root.bf)
-    return best, partial(_argmax, walk, memo, weights, best, key, cap), root.both, pairs
+    return best, lambda: _argmax(walk, _bounds(engine, weights), weights, best, cap), root.both, pairs
 
 
 def _bounds(engine: _Engine, weights) -> list[tuple[list[int], list[int]]]:
-    """Per depth t, per objective, per state s, V_t(s): the best weighted
-    value of steps t to T - 1 from unit mass at s at t, over every action at
-    every step, so a bound on every completion of a node at t. By backward
-    induction, V_T(s) = 0 and V_t(s) = max over s's cells of the sum of
-    q * p * (r_num[r] * w_t + V_(t+1)(s2)); integers only, so exact."""
-    bounds, r_num = [([0] * len(engine.point),) * 2], engine.r_num
+    """Per depth t, per objective, V_t(s) per state s: the best weighted
+    value of steps t to T - 1 from unit mass at s over every action, a bound
+    on every completion of a node at t. By backward induction V_T = 0 and
+    V_t(s) = max over actions of sum p * (r_num[r] * w_t + V_(t+1)(s2))."""
+    bounds, r_num = [([0] * len(engine.outs),) * 2], engine.r_num
     for w in reversed(weights):
         after = bounds[-1]
         bounds.append(tuple(
-            [max(sum(q * p * (r_num[r] * w[k] + after[k][s2]) for q, o in cell for s2, p, r, _ in o) for cell in cells)
-             for cells in engine.point]
+            [max(sum(p * (r_num[r] * w[k] + after[k][s2]) for s2, p, r, _ in o) for o in outs) for outs in engine.outs]
             for k in (0, 1)
         ))
     return bounds[::-1]
+
+
+def _below(bound, vt, vf, dist, best) -> bool:
+    """Whether a node at depth t, of path values `vt`, `vf` and occupancy
+    `dist`, is below both maxima `best` with `bound` = `_bounds(...)[t]` added."""
+    bt, bf = bound
+    return vt + sum(m * bt[s] for s, m in dist.items()) < best[0] and vf + sum(m * bf[s] for s, m in dist.items()) < best[1]
 
 
 def _scanned(engine: _Engine, weights, cap: int) -> tuple:
@@ -396,12 +400,9 @@ def _scanned(engine: _Engine, weights, cap: int) -> tuple:
     def enter(t, first, last, dist, r) -> bool:
         (wt, wf), (vt, vf) = weights[t - 1], path[t - 1]
         vt, vf = path[t] = vt + r * wt, vf + r * wf
-        if full_of is not None:
-            return False
-        bt, bf = bounds[t]
-        return vt + sum(m * bt[s] for s, m in dist.items()) < best[0] and vf + sum(m * bf[s] for s, m in dist.items()) < best[1]
+        return full_of is None and _below(bounds[t], vt, vf, dist, best)
 
-    for behaviour, *_ in engine.walk(True, None, cap, enter):
+    for behaviour, *_ in engine.walk(True, cap, enter):
         values = path[T]
         for k, value in enumerate(values):
             if best[k] is None or value > best[k]:
@@ -448,23 +449,20 @@ def check_objective_consistency(
 
     When the class is nonstationary, or the MDP is `_layered`, a memo keeps
     per (depth, occupancy) the truncated and full suffix maxima, whether one
-    behaviour reaches both and, while no tie has broken and the key
-    recurs, its (truncated, full) values. This pass is a hook on the
-    engine's walk that skips the subtree of each node it takes from the
-    memo, and folds each leaf into its parent without letting it through. A
-    node is taken from the memo only when every member index in it is below
-    the cap; one that straddles the cap is walked and summarised for itself,
-    so a capped class gets the answers a walk gives. The argmax members come
-    from a second walk whose hook enters only the subtrees whose maximum
-    reaches the class's, and reads the members off the leaves it lets
-    through.
+    behaviour reaches both and, while no tie has broken and the key recurs,
+    its (truncated, full) values. That pass is a hook on the engine's walk
+    that skips the subtree of each node it takes from the memo and lets no
+    leaf through. A node that straddles the cap is walked and summarised for
+    itself, so a capped class gets the answers a walk gives. A stationary
+    class on an MDP that is not layered is scanned in one walk, leaf by
+    leaf until a truncated tie settles agreement false.
 
-    A stationary class on an MDP that is not layered is scanned in one walk,
-    leaf by leaf until a truncated tie breaks. From then on agreement is
-    settled false, and the walk is a branch and bound: a node is skipped
-    when, in both objectives, its path value plus the best value of its
-    suffix over every nonstationary policy (`_bounds`) is below the running
-    maximum. Where agreement holds, every leaf is still walked: wherever
+    Both paths list the argmax members by branch and bound: a node is
+    skipped when, in both objectives, its path value plus the best value of
+    its suffix over every nonstationary policy (`_bounds`) is below the
+    maximum: the class's in a second walk on the memo path, where that
+    bound is exact, and the running one in the scan once agreement is
+    settled. Where agreement holds, the scan walks every leaf: wherever
     last_step >= T - 1, for one, as the two returns are then one.
     """
     report, listing = _ordering(mdp, last_step, stationary, cap)

@@ -419,6 +419,26 @@ def test_a_model_that_breaks_a_model_rule_is_exit_two_naming_it(tmp_path, prefix
     assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
 
 
+def test_an_mdp_document_leaves_a_terminal_self_loop_implicit(tmp_path, prefix_files, capsys):
+    # A terminal's action with no transition record takes its self-loop, as
+    # in `build_mdp`; a non-terminal action with none is exit 2, located.
+    mdp_path, obs_path = prefix_files
+    with open(mdp_path) as fh:
+        doc = json.load(fh)
+
+    def check(name, keep):
+        path = tmp_path / name
+        path.write_text(json.dumps({**doc, "transitions": [rec for rec in doc["transitions"] if keep(rec)]}))
+        return path, run_cli(capsys, "check", "--mdp", str(path), "--obs", obs_path)
+
+    _, whole = check("whole.mdp.json", lambda rec: True)
+    _, short = check("short.mdp.json", lambda rec: rec["state"] not in doc["terminal"])
+    assert whole[0] == short[0] == 0
+    assert json.loads(whole[1]) | {"inputs": None} == json.loads(short[1]) | {"inputs": None}
+    bad, ran = check("bad.mdp.json", lambda rec: (rec["state"], rec["action"]) != ("s0", "L"))
+    assert ran == (2, "", f"error: {bad}: probabilities for (s0, L) sum to 0, expected 1\n")
+
+
 def test_a_horizon_no_tuple_can_hold_is_exit_two_naming_the_mdp(tmp_path, prefix_files, capsys):
     # Once: `eval` died in a raw OverflowError with exit 1. (`check` and
     # `ordering` did not finish on such an MDP, so no test runs them on one

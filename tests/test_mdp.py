@@ -214,7 +214,7 @@ def test_behaviours_partition_the_class(stationary):
         policies = oracle_class(mdp, stationary)
         engine = _Engine(mdp)
         seen, firsts = [], []
-        for behaviour, dists, _, _ in engine.walk(stationary):
+        for behaviour, dists, _, _ in engine.walk(stationary, total):
             firsts.append(behaviour.first)
             members = list(behaviour.members(total))
             assert members[0] == behaviour.first
@@ -264,14 +264,14 @@ def test_capped_behaviours_are_those_first_below_the_cap(stationary):
         total = ss.policy_class_size(mdp, stationary)
         if total > 512:
             continue
-        every = list(_Engine(mdp).walk(stationary))
+        every = list(_Engine(mdp).walk(stationary, total))
         for cap in {1, max(1, total // 3), total - 1 or 1, total, total + 5}:
             below = [leaf for leaf in every if leaf[0].first < cap]
-            assert list(_Engine(mdp).walk(stationary, None, cap)) == below
+            assert list(_Engine(mdp).walk(stationary, cap)) == below
 
 
 @settings(max_examples=200)
-@given(seed=st.integers(0, 2**32 - 1), stationary=st.booleans(), cut=st.sampled_from(["1", "total/3", "none"]))
+@given(seed=st.integers(0, 2**32 - 1), stationary=st.booleans(), cut=st.sampled_from(["1", "total/3", "total"]))
 def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
     # `enter` sees each node the walk steps to, leaves included, and none
     # whose first member is at or past the cap. A node it refuses drops
@@ -283,13 +283,13 @@ def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
     mdp = random_mdp(rng, max_states=4, max_horizon=3)
     total = ss.policy_class_size(mdp, stationary)
     assume(total <= 512)
-    cap = {"1": 1, "total/3": max(1, total // 3), "none": None}[cut]
+    cap = {"1": 1, "total/3": max(1, total // 3), "total": total}[cut]
 
     def walk(enter=None):
         engine, steps = _Engine(mdp), []
         inner = engine.advance
         engine.advance = lambda *args: steps.append(1) or inner(*args)
-        return list(engine.walk(stationary, None, cap, enter)), len(steps)
+        return list(engine.walk(stationary, cap, enter)), len(steps)
 
     def refused(node):
         return random.Random(repr((seed, node))).random() < 0.25
@@ -298,7 +298,7 @@ def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
     paths, path, entered = [], [], []
 
     def record(t, first, last, dist, r):
-        assert cap is None or first < cap
+        assert first < cap
         entered.append(t)
         path[t - 1 :] = [(t, first)]
         if t == mdp.horizon:
@@ -309,7 +309,7 @@ def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
     assert len(entered) == plain_steps and len(paths) == len(plain)
 
     def skip(t, first, last, dist, r):
-        assert cap is None or first < cap
+        assert first < cap
         return refused((t, first))
 
     kept = [leaf for leaf, nodes in zip(plain, paths) if not any(map(refused, nodes))]
@@ -320,7 +320,7 @@ def test_enter_skips_the_nodes_it_refuses_and_no_others(seed, stationary, cut):
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), stationary=st.booleans())
 def test_enter_gets_the_largest_member_of_each_node(seed, stationary):
-    # On the uncapped walk a node's `last` is the largest member of the
+    # On the walk of the whole class a node's `last` is the largest member of the
     # leaves below it, free cells included. A capped walk enters exactly the
     # nodes whose first member is below the cap, each with the same `last`,
     # which counts the members past the cap too.
@@ -340,9 +340,9 @@ def test_enter_gets_the_largest_member_of_each_node(seed, stationary):
                 paths.append(tuple(path))
             return False
 
-        return nodes, list(zip(_Engine(mdp).walk(stationary, None, cap, record), paths))
+        return nodes, list(zip(_Engine(mdp).walk(stationary, cap, record), paths))
 
-    nodes, leaves = walk(None)
+    nodes, leaves = walk(total)
     largest = {}
     for (behaviour, *_), path in leaves:
         top = behaviour.members(float("inf"))[-1]
@@ -368,7 +368,7 @@ def test_cap_bounds_the_walk_of_a_huge_class(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(_Engine, "advance", counted)
-    firsts = [leaf[0].first for leaf in _Engine(mdp).walk(False, None, 1000)]
+    firsts = [leaf[0].first for leaf in _Engine(mdp).walk(False, 1000)]
     assert firsts == list(range(1000))
     assert len(steps) == 1012
 

@@ -415,13 +415,13 @@ def test_observe_refuses_an_mdp_whose_probabilities_do_not_sum_to_one():
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """The (model, den_pi) of each table set the engine compiles, in order."""
+    """The model of each table set the engine compiles, in order."""
     calls = []
     inner = observation._compile
 
-    def wrapper(mdp, model, den_pi):
-        calls.append((model, den_pi))
-        return inner(mdp, model, den_pi)
+    def wrapper(mdp, model):
+        calls.append(model)
+        return inner(mdp, model)
 
     monkeypatch.setattr(observation, "_compile", wrapper)
     return calls
@@ -441,13 +441,26 @@ def test_engines_built_in_turn_on_one_mdp_compile_once(compiles):
     mdp, _ = ss.build_greedy(3, 10)
     policy = ss.mdp.policy_at_index(mdp, 0)
     assert ss.full_return(mdp, policy) == ss.full_return(mdp, policy)
-    assert compiles == [(None, 1)]
+    assert compiles == [None]
+
+
+def test_one_mdp_and_model_compile_once(compiles):
+    # The stochastic policy's pass sets only the engine's step denominator,
+    # and `full_return` runs no window, so it takes the model's tables. With
+    # tables keyed by the policy denominator as well, and a call without a
+    # model compiling its own, these three calls compiled three times.
+    mdp, model = ss.build_prefix(3)
+    hidden = dataclasses.replace(model, observe_rewards=False)
+    assert not ss.check_sufficiency(mdp, hidden).sufficient
+    ss.segment_distribution(mdp, half_behavior(mdp), hidden)
+    assert ss.full_return(mdp, ss.mdp.policy_at_index(mdp, 0)) == 1
+    assert compiles == [hidden]
 
 
 @pytest.mark.parametrize("prop, penalty", [(1, None), (2, 5), (3, None)])
 def test_verify_walks_each_policy_once(monkeypatch, prop, penalty):
     # Each proposition reads both of its policies' returns, and their
-    # segment distributions, off one single-policy walk per policy.
+    # segment distributions, off one forward pass per policy.
     walks = []
     inner = observation._walk_policy
 
@@ -485,7 +498,7 @@ def test_each_engine_starts_its_own_segment_trie(compiles):
     hidden = dataclasses.replace(model, observe_rewards=False)
     assert not ss.check_sufficiency(mdp, hidden).sufficient
     engine = observation._Engine(mdp, hidden)
-    assert compiles == [(hidden, 1)]
+    assert compiles == [hidden]
     assert engine.parent == [0] and engine.sym == [0] and engine.kids == {}
 
 
@@ -513,9 +526,9 @@ def _public_calls(models, last_step):
 def test_calls_on_a_used_mdp_match_calls_on_a_fresh_one(seed):
     # One MDP takes every call in turn, each compared with the same call on
     # a fresh equal MDP that has compiled nothing. Models change between
-    # calls, and the stochastic policy (den_pi 2) sits between two
-    # deterministic ones (den_pi 1), so tables kept for another model or
-    # den_pi would show.
+    # calls, calls without a model take whichever model's tables are kept,
+    # and the stochastic policy (den_pi 2) sits between two deterministic
+    # ones (den_pi 1), so tables that do not fit a call would show.
     rng = random.Random(seed)
     mdp = random_mdp(rng, max_states=5, max_horizon=4)
     models = [random_model(rng, mdp) for _ in range(3)]

@@ -413,6 +413,25 @@ def test_probability_sum_violation_is_validation_error():
     assert "s0" in message and "L" in message and "7/6" in message
 
 
+@pytest.mark.parametrize("build", [ss.build_prefix, lambda h: ss.build_greedy(h, 10 * h), ss.build_aliasing])
+def test_a_terminal_listed_without_its_self_loop_gets_it_filled_in(build):
+    # Documents and `build_mdp` share one terminal rule: a terminal's action
+    # with no transition record takes the zero-reward self-loop. Once the
+    # parser gave that action an empty row, refused as summing to 0.
+    mdp = build(3)[0]
+    doc = json.loads(serialize_mdp(mdp))
+    doc["transitions"] = [rec for rec in doc["transitions"] if rec["state"] not in doc["terminal"]]
+    assert parse_mdp(json.dumps(doc)) == mdp
+
+
+def test_a_non_terminal_action_without_transitions_sums_to_zero():
+    doc = json.loads(serialize_mdp(ss.build_prefix(1)[0]))
+    doc["transitions"] = [rec for rec in doc["transitions"] if (rec["state"], rec["action"]) != ("s0", "L")]
+    with pytest.raises(ValidationError) as exc:
+        parse_mdp(json.dumps(doc))
+    assert exc.value.violations == ("probabilities for (s0, L) sum to 0, expected 1",)
+
+
 def test_unknown_labels_rejected():
     doc = json.loads(serialize_mdp(ss.build_prefix(1)[0]))
     doc["initial"] = {"ghost": "1"}

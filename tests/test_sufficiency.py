@@ -489,22 +489,27 @@ def test_ordering_covers_a_large_greedy_class(monkeypatch):
 
 def test_verify_lists_no_argmax_member(monkeypatch):
     # Proposition 2's claims read the maxima and the two flags, which the
-    # memoised pass yields: it lets no leaf through and lists no member.
-    # The two leaves are the walks of the all-greedy and all-patient
-    # policies, each a class of one.
+    # memoised pass yields: it lets no leaf through, lists no member and
+    # computes no listing bound. The all-greedy and all-patient policies
+    # take one forward pass each, which walks no class.
     calls = _count_evaluations(monkeypatch)
-    inner = ss.mdp.Behaviour.members
+    inner, bounds = ss.mdp.Behaviour.members, sufficiency._bounds
 
     def members(*args):
         calls["members"] += 1
         return inner(*args)
 
+    def counted(*args):
+        calls["bounds"] += 1
+        return bounds(*args)
+
     monkeypatch.setattr(ss.mdp.Behaviour, "members", members)
+    monkeypatch.setattr(sufficiency, "_bounds", counted)
     report = ss.verify_proposition(2, 16, 160, cap=10**15)
     assert report.passed
-    assert calls == {"leaf": 2}
+    assert calls == {}
     ss.check_objective_consistency(ss.build_greedy(3, 10)[0], 3)
-    assert calls["members"] > 0
+    assert calls["members"] > 0 and calls["bounds"] == 1
 
 
 def _count_steps(monkeypatch, calls):
@@ -520,30 +525,40 @@ def _count_steps(monkeypatch, calls):
 
 def _count_pruned(monkeypatch, calls):
     """Count, in `calls`, the nodes that a walk's hook skips: on the
-    ordering scan of a class that is not memoised, its prunes."""
+    ordering scan of a class that is not memoised, and on the argmax
+    listing, its prunes."""
     inner = observation._Engine.walk
 
-    def wrapper(self, stationary, options=None, cap=None, enter=None):
+    def wrapper(self, stationary, cap, enter=None):
         def counted(*args):
             skip = enter(*args)
             if skip:
                 calls["pruned"] += 1
             return skip
 
-        return inner(self, stationary, options, cap, enter and counted)
+        return inner(self, stationary, cap, enter and counted)
 
     monkeypatch.setattr(observation._Engine, "walk", wrapper)
 
 
 def _count_memo_nodes(monkeypatch, calls):
     """Count, in `calls`, the nodes the ordering check's memoised pass
-    keeps in its memo."""
+    keeps in its memo: its distinct keys other than None, as the pass
+    stores each node it opens under its key, and a node it takes from the
+    memo is under a key stored before."""
     inner = sufficiency._summaries
 
-    def wrapper(*args):
-        memo, root, pairs = inner(*args)
-        calls["memo"] += len(memo)
-        return memo, root, pairs
+    def wrapper(walk, weights, key):
+        keys = set()
+
+        def recorded(*args):
+            k = key(*args)
+            keys.add(k)
+            return k
+
+        root, pairs = inner(walk, weights, recorded)
+        calls["memo"] += len(keys - {None})
+        return root, pairs
 
     monkeypatch.setattr(sufficiency, "_summaries", wrapper)
 
@@ -696,16 +711,16 @@ def test_cap_bounds_the_checkers_on_a_huge_class(monkeypatch):
     # The ordering check's memoised pass summarises this nonstationary class
     # and lets no leaf through. Below the cap each depth has one node, and
     # the node at depth 5 = T - 1 has 50 leaves: 55 steps. The memo holds
-    # the nodes at depths 1 to 4, each keyed by itself, as its members run
-    # past the cap. The argmax walk takes the 55 steps again: each node of
-    # the chain holds both maxima, and the node at depth 5, not memoised, is
-    # entered to read its leaves, so the walk yields all 50.
+    # none of them: each node of the chain straddles the cap, so its key
+    # could never recur. The argmax walk takes the 55 steps again: the 50
+    # members differ only at step 5, so each earns the truncated maximum,
+    # no node is below both maxima, and the walk yields all 50 leaves.
     calls.clear()
     _count_memo_nodes(monkeypatch, calls)
     _count_steps(monkeypatch, calls)
     report = ss.check_objective_consistency(mdp, 2, stationary=False, cap=50)
     assert report.policy_class.enumerated == 50
-    assert calls == {"memo": 4, "step": 110, "leaf": 50}
+    assert calls == {"memo": 0, "step": 110, "leaf": 50}
 
 
 def test_checkers_reject_an_invalid_mdp():
